@@ -1,31 +1,36 @@
 //! The shared evaluation engine: memoised, budgeted, parallel.
 //!
-//! Every searcher funds its simulations through one [`Evaluator`]. The
-//! evaluator:
+//! Every searcher funds its simulations through one [`Evaluator`]. Each
+//! [`Evaluator::evaluate`] call canonicalises its candidates (forcing
+//! stats telemetry when an objective needs it), keys each on its canonical
+//! spec JSON, and runs the batch through ordered resolver stages. Each
+//! stage settles some pending entries into the memo, tagged with the
+//! stage, and hands the rest on:
 //!
-//! - **canonicalises** each candidate spec (forcing stats telemetry when an
-//!   objective needs it) and keys its memo cache on the spec's canonical
-//!   JSON, so the same design is never simulated twice — within a search
-//!   *or* across rungs of different fidelity (the timestep is part of the
-//!   key);
-//! - **enforces the budget**: a batch whose cache misses would exceed the
-//!   configured cost ceiling (in full-fidelity-equivalent units) fails
-//!   with [`ExploreError::BudgetExhausted`] before any of them run. Cost
-//!   per miss is `(reference_dt / dt) × (deadline / reference_deadline) ÷
-//!   trace decimation × objective cost scale`: coarse timesteps, shortened
-//!   rung deadlines and decimated trace sources all charge fractionally,
-//!   while fleet objectives (which deploy every candidate as a whole
-//!   population) charge ≈ their node count per miss;
-//! - **fans out** cache misses across scoped worker threads via the sweep
-//!   engine's [`run_specs_timed_metered`], whose results come back in
-//!   input order —
-//!   so thread count affects wall-clock only, never results — resolving
-//!   [`SourceKind::Trace`](edc_core::scenarios::SourceKind::Trace)
-//!   candidates through the catalog supplied by
-//!   [`Evaluator::with_catalog`];
-//! - **records a trace** entry per requested evaluation, in request order,
-//!   which is what makes [`ExploreReport`](crate::ExploreReport) JSON
-//!   byte-identical across repeated and serial-vs-parallel runs.
+//! 1. **memo** — keys an earlier call resolved, and repeats within the
+//!    batch, go no further. The timestep is part of the key, so a design is
+//!    never simulated twice at one fidelity, within a search or across rungs.
+//! 2. **store** ([`Evaluator::with_store`]) — entries the persistent store
+//!    holds are served at zero cost.
+//! 3. **lint** ([`Evaluator::with_prefilter`]) — statically-infeasible
+//!    entries are scored without simulating.
+//! 4. **bound** ([`Evaluator::with_bound`]) — each entry gets static score
+//!    lower bounds; before every simulation chunk, entries an exact
+//!    incumbent dominates at those bounds are pruned.
+//! 5. **simulate** — the rest fan out over worker threads through the sweep
+//!    engine's [`run_specs_timed_metered`], whose results come back in input
+//!    order (thread count affects wall-clock only), then are scored, written
+//!    back to the store and charged `(reference_dt / dt) × (deadline /
+//!    reference_deadline) ÷ trace decimation × objective cost scale`
+//!    full-fidelity-equivalent units against the budget. Without bound
+//!    pruning the batch is one chunk, admitted or rejected with
+//!    [`ExploreError::BudgetExhausted`] before anything runs.
+//!
+//! The call records one trace entry per request, in request order, which
+//! makes [`ExploreReport`](crate::ExploreReport) JSON byte-identical across
+//! repeated and serial-vs-parallel runs. Its counts go into one per-call
+//! ledger, added into the evaluator's totals and projected into the
+//! `edc_eval_*` / `edc_store_*` metrics and one [`ProfileSpan`].
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -35,7 +40,6 @@ use std::time::Instant;
 use edc_bench::sweep::run_specs_timed_metered;
 use edc_core::catalog::TraceCatalog;
 use edc_core::experiment::ExperimentSpec;
-use edc_core::SystemReport;
 use edc_core::TelemetryKind;
 use edc_lint::Linter;
 use edc_obs::{ProfileReport, ProfileSpan};
@@ -86,6 +90,98 @@ pub struct TraceEntry {
     pub store_hit: bool,
 }
 
+/// The resolver stage a memoised score vector came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Origin {
+    Store,
+    Lint,
+    Bound,
+    Simulated,
+}
+
+/// What one [`Evaluator::evaluate`] call did. The evaluator's running
+/// totals are the same type, summed over calls.
+#[derive(Debug, Clone, Copy, Default)]
+struct Ledger {
+    requests: u64,
+    /// Entries that reached the bound/simulate stage, bound-pruned ones
+    /// included.
+    misses: u64,
+    cache_hits: u64,
+    lint_checks: u64,
+    lint_pruned: u64,
+    bound_checks: u64,
+    bound_pruned: u64,
+    store_hits: u64,
+    store_misses: u64,
+    simulations: u64,
+    /// The budget meter: cumulative full-fidelity-equivalent cost. A call's
+    /// ledger starts at the totals' reading and charges each run onto it
+    /// in turn, so the budget check and the totals see exactly the sums
+    /// charging run by run produces.
+    spent: f64,
+}
+
+/// The counts both the profile span and the `edc_eval_<count>` metrics
+/// carry, in span order, with each metric's HELP text.
+const EVAL_COUNTS: [(&str, &str); 7] = [
+    ("requests", "Evaluation requests, per search phase."),
+    (
+        "misses",
+        "Evaluation requests that simulated (memo-cache misses), per search phase.",
+    ),
+    (
+        "cache_hits",
+        "Evaluation requests served by the memo cache, per search phase.",
+    ),
+    (
+        "lint_checks",
+        "Cache misses the lint prefilter examined, per search phase.",
+    ),
+    (
+        "lint_pruned",
+        "Cache misses the lint prefilter scored statically, per search phase.",
+    ),
+    (
+        "bound_checks",
+        "Cache misses branch-and-bound derived static lower bounds for, per search phase.",
+    ),
+    (
+        "bound_pruned",
+        "Cache misses branch-and-bound dominance-pruned without simulating, per search phase.",
+    ),
+];
+
+impl Ledger {
+    /// The counts [`EVAL_COUNTS`] names, in its order.
+    fn eval_counts(&self) -> [u64; 7] {
+        [
+            self.requests,
+            self.misses,
+            self.cache_hits,
+            self.lint_checks,
+            self.lint_pruned,
+            self.bound_checks,
+            self.bound_pruned,
+        ]
+    }
+
+    /// Adds a call's ledger into these totals.
+    fn absorb(&mut self, call: &Ledger) {
+        self.requests += call.requests;
+        self.misses += call.misses;
+        self.cache_hits += call.cache_hits;
+        self.lint_checks += call.lint_checks;
+        self.lint_pruned += call.lint_pruned;
+        self.bound_checks += call.bound_checks;
+        self.bound_pruned += call.bound_pruned;
+        self.store_hits += call.store_hits;
+        self.store_misses += call.store_misses;
+        self.simulations += call.simulations;
+        self.spent = call.spent;
+    }
+}
+
 /// The memoised, budgeted, parallel evaluation engine.
 pub struct Evaluator<'a> {
     objectives: &'a [Box<dyn Objective>],
@@ -96,28 +192,20 @@ pub struct Evaluator<'a> {
     reference_deadline: Option<Seconds>,
     cost_scale: f64,
     catalog: TraceCatalog,
-    cache: HashMap<String, Vec<f64>>,
-    simulations: u64,
-    cache_hits: u64,
-    cost_units: f64,
-    trace: Vec<TraceEntry>,
     prefilter: bool,
-    linter: Option<Linter>,
-    pruned: HashSet<String>,
-    lint_checks: u64,
-    lint_pruned: u64,
     bound: bool,
-    bound_checks: u64,
-    bound_pruned: u64,
-    bound_pruned_keys: HashSet<String>,
-    /// Exact score vectors (simulated or statically-exact) that serve as
-    /// dominance incumbents for branch-and-bound pruning. Never contains
-    /// a bound-pruned candidate's lower-bound stand-in.
-    incumbents: Vec<Vec<f64>>,
-    profile: ProfileReport,
+    linter: Option<Linter>,
     metrics: Option<edc_metrics::Registry>,
     store: Option<StoreHandle>,
-    store_hits: u64,
+    /// Every resolved key's scores and the stage that resolved them.
+    memo: HashMap<String, (Vec<f64>, Origin)>,
+    /// Exact score vectors (simulated, stored or statically exact) that
+    /// serve as dominance incumbents for branch-and-bound pruning. Never
+    /// contains a bound-pruned candidate's lower-bound stand-in.
+    incumbents: Vec<Vec<f64>>,
+    totals: Ledger,
+    trace: Vec<TraceEntry>,
+    profile: ProfileReport,
 }
 
 /// Histogram bounds for per-miss simulation cost in
@@ -166,25 +254,16 @@ impl<'a> Evaluator<'a> {
             reference_dt,
             reference_deadline: None,
             catalog: TraceCatalog::new(),
-            cache: HashMap::new(),
-            simulations: 0,
-            cache_hits: 0,
-            cost_units: 0.0,
-            trace: Vec::new(),
             prefilter: false,
-            linter: None,
-            pruned: HashSet::new(),
-            lint_checks: 0,
-            lint_pruned: 0,
             bound: false,
-            bound_checks: 0,
-            bound_pruned: 0,
-            bound_pruned_keys: HashSet::new(),
-            incumbents: Vec::new(),
-            profile: ProfileReport::new(),
+            linter: None,
             metrics: None,
             store: None,
-            store_hits: 0,
+            memo: HashMap::new(),
+            incumbents: Vec::new(),
+            totals: Ledger::default(),
+            trace: Vec::new(),
+            profile: ProfileReport::new(),
         }
     }
 
@@ -199,12 +278,13 @@ impl<'a> Evaluator<'a> {
     /// the spec is linted ([`Linter::lint_spec`]) and, if any `E`-severity
     /// diagnostic fires, scored with the objectives' [DNF
     /// values](crate::objective::Objective::dnf_score) at zero simulation
-    /// cost. Pruning only happens when *every* objective declares a DNF
-    /// score — otherwise (brownout counts, outage percentiles) the flagged
-    /// candidate is simulated as usual, so enabling the prefilter never
-    /// changes any score, only what it costs to obtain them. Lint work is
-    /// billed separately ([`Evaluator::lint_checks`] /
-    /// [`Evaluator::lint_pruned`]), never against the simulation budget.
+    /// cost. Without bound pruning the prefilter only runs when *every*
+    /// objective declares a DNF score — otherwise (brownout counts,
+    /// outage percentiles) flagged candidates are simulated as usual, so
+    /// enabling the prefilter never changes any score, only what it costs
+    /// to obtain them. Lint work is billed separately
+    /// ([`Evaluator::lint_checks`] / [`Evaluator::lint_pruned`]), never
+    /// against the simulation budget.
     pub fn with_prefilter(mut self, on: bool) -> Self {
         self.prefilter = on;
         self
@@ -223,10 +303,11 @@ impl<'a> Evaluator<'a> {
     /// *at its lower bounds* is dominated at its true scores too and can
     /// never reach the Pareto front.
     ///
-    /// With bound pruning enabled, the prefilter can also statically
-    /// score `E`-flagged candidates whose objectives lack a constant
-    /// [`Objective::dnf_score`] whenever their brackets are *exact*
-    /// (e.g. a proven never-boot pins the brownout count to zero).
+    /// With bound pruning enabled, the prefilter runs whatever the
+    /// objectives, and can also statically score `E`-flagged candidates
+    /// whose objectives lack a constant [`Objective::dnf_score`] whenever
+    /// their brackets are *exact* (e.g. a proven never-boot pins the
+    /// brownout count to zero).
     ///
     /// Two behavioural caveats versus the plain path, both only when
     /// enabled: a batch is budget-checked chunk by chunk (a mid-batch
@@ -240,10 +321,13 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Routes this evaluator's process metrics into `registry` instead of
-    /// [`edc_metrics::global`]: per-phase request/hit/miss/lint counters,
-    /// a per-miss cost histogram, and the sweep-layer counters of every
-    /// miss batch it fans out. Point different evaluators at different
-    /// registries to compare their expositions in isolation.
+    /// [`edc_metrics::global`]: per-phase request/hit/miss/lint/bound
+    /// counters, a per-miss cost histogram, and the sweep-layer counters
+    /// of every miss batch it fans out. `edc_eval_misses` counts every
+    /// entry that reached the bound/simulate stage, so bound-pruned
+    /// entries are included; [`Evaluator::simulations`] counts only the
+    /// runs. Point different evaluators at different registries to
+    /// compare their expositions in isolation.
     ///
     /// ```
     /// use edc_explore::evaluator::Evaluator;
@@ -334,15 +418,7 @@ impl<'a> Evaluator<'a> {
         phase: &str,
     ) -> Result<Vec<Evaluation>, ExploreError> {
         let started = Instant::now();
-        let before = (
-            self.cache_hits,
-            self.lint_checks,
-            self.lint_pruned,
-            self.cost_units,
-            self.bound_checks,
-            self.bound_pruned,
-        );
-        let objectives = self.objectives;
+        let registry = self.metrics.clone().unwrap_or_else(edc_metrics::global);
         let prepared: Vec<ExperimentSpec> = specs
             .into_iter()
             .map(|s| {
@@ -354,271 +430,289 @@ impl<'a> Evaluator<'a> {
             })
             .collect();
         let keys: Vec<String> = prepared.iter().map(|s| s.to_json().to_string()).collect();
+        let mut ledger = Ledger {
+            spent: self.totals.spent,
+            ..Ledger::default()
+        };
+        let evaluations = self
+            .resolve(&prepared, &keys, phase, &registry, &mut ledger)
+            .map(|first| self.record(prepared, keys, &first, phase, &mut ledger));
+        let cost = ledger.spent - self.totals.spent;
+        // A failed call keeps what it resolved and counted, but projects
+        // nothing.
+        self.totals.absorb(&ledger);
+        let evaluations = evaluations?;
 
-        // Cache misses, first occurrence only, in input order.
-        let mut missing: Vec<usize> = Vec::new();
+        let phase_label = [("phase", phase)];
+        let mut span = ProfileSpan::new(phase);
+        for ((count, help), value) in EVAL_COUNTS.iter().zip(ledger.eval_counts()) {
+            registry
+                .counter(&format!("edc_eval_{count}"), help, &phase_label)
+                .inc_by(value);
+            span = span.counter(*count, value as f64);
+        }
+        span = span.counter("cost", cost);
+        if self.store.is_some() {
+            registry
+                .counter(
+                    "edc_store_hits",
+                    "Memo-cache misses served by the persistent store, per search phase.",
+                    &phase_label,
+                )
+                .inc_by(ledger.store_hits);
+            registry
+                .counter(
+                    "edc_store_misses",
+                    "Memo-cache misses the persistent store could not serve, per search phase.",
+                    &phase_label,
+                )
+                .inc_by(ledger.store_misses);
+            // Appended so store-less profiles keep their exact shape.
+            span = span.counter("store_hits", ledger.store_hits as f64);
+        }
+        self.profile
+            .push(span.wall(started.elapsed().as_secs_f64()));
+        Ok(evaluations)
+    }
+
+    /// Runs the resolver stages — memo, store, lint, bound, simulate — so
+    /// every key in the batch ends up in the memo. Returns, per input,
+    /// whether this call resolved it: the first occurrence of a key the
+    /// memo lacked.
+    fn resolve(
+        &mut self,
+        prepared: &[ExperimentSpec],
+        keys: &[String],
+        phase: &str,
+        registry: &edc_metrics::Registry,
+        ledger: &mut Ledger,
+    ) -> Result<Vec<bool>, ExploreError> {
+        let objectives = self.objectives;
+
+        // Memo: only the first occurrence of an unresolved key goes on.
+        let mut first = vec![false; keys.len()];
         let mut queued: HashSet<&str> = HashSet::new();
+        let mut pending: Vec<usize> = Vec::new();
         for (i, key) in keys.iter().enumerate() {
-            if !self.cache.contains_key(key) && queued.insert(key) {
-                missing.push(i);
+            if !self.memo.contains_key(key) && queued.insert(key) {
+                first[i] = true;
+                pending.push(i);
             }
         }
 
-        // Persistent store: resolve misses from prior processes' runs
-        // before any lint/bound/simulation work. Hits are billed at zero
-        // cost and (in bound mode) become dominance incumbents; scores
-        // the stored entry lacks are recomputed bit-exactly from its
-        // stored report and merged back for the next reader.
-        let mut store_fresh: HashSet<usize> = HashSet::new();
-        let mut store_misses: u64 = 0;
+        // Store: serve entries a prior process already evaluated, merging
+        // back any score the stored entry lacked.
         if let Some(store) = self.store.clone() {
             let mut guard = store
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let mut survivors = Vec::with_capacity(missing.len());
-            for &i in &missing {
-                let hit = guard.get(&keys[i]).and_then(|entry| {
-                    let resolved: Option<Vec<f64>> = objectives
-                        .iter()
-                        .map(|o| {
-                            o.store_key()
-                                .and_then(|k| entry.scores.get(&k).copied())
-                                .or_else(|| o.score_json(&entry.report))
-                        })
-                        .collect();
-                    resolved.map(|scores| {
-                        let mut recomputed: BTreeMap<String, f64> = BTreeMap::new();
-                        for (o, s) in objectives.iter().zip(&scores) {
-                            if let Some(key) = o.store_key() {
-                                if !entry.scores.contains_key(&key) && !s.is_nan() {
-                                    recomputed.insert(key, *s);
-                                }
-                            }
-                        }
-                        (scores, recomputed, entry.report.clone(), entry.cost)
-                    })
-                });
-                let Some((scores, recomputed, report, cost)) = hit else {
-                    store_misses += 1;
-                    survivors.push(i);
+            let mut found = Vec::with_capacity(pending.len());
+            for &i in &pending {
+                let Some(entry) = guard.get(&keys[i]) else {
+                    found.push(None);
                     continue;
                 };
-                if !recomputed.is_empty() {
-                    guard
-                        .put(&prepared[i].to_json(), report, recomputed, cost)
-                        .map_err(ExploreError::Store)?;
-                }
-                if self.bound {
-                    // Store hits carry exact scores: valid incumbents.
-                    self.incumbents.push(scores.clone());
-                }
-                self.cache.insert(keys[i].clone(), scores);
-                store_fresh.insert(i);
-                self.store_hits += 1;
-            }
-            missing = survivors;
-        }
-
-        // Lint prefilter: score statically-infeasible misses without
-        // simulating. Only sound when every objective's static score is
-        // exact — a declared constant DNF score, or (with bound pruning
-        // enabled) a degenerate `lo == hi` bracket from the shared
-        // engine. The budget below then only sees the surviving misses.
-        if self.prefilter {
-            let dnf: Option<Vec<f64>> = objectives.iter().map(|o| o.dnf_score()).collect();
-            if dnf.is_some() || self.bound {
-                let linter = self
-                    .linter
-                    .get_or_insert_with(|| Linter::with_catalog(self.catalog.clone()));
-                let mut survivors = Vec::with_capacity(missing.len());
-                for &i in &missing {
-                    self.lint_checks += 1;
-                    if linter.lint_spec(&prepared[i]).has_errors() {
-                        let static_scores: Option<Vec<f64>> = if self.bound {
-                            objectives
-                                .iter()
-                                .map(|o| {
-                                    o.dnf_score().or_else(|| {
-                                        o.static_bracket(&prepared[i], linter.bounder())
-                                            .filter(|b| b.is_exact())
-                                            .map(|b| b.lo)
-                                    })
-                                })
-                                .collect()
-                        } else {
-                            dnf.clone()
-                        };
-                        match static_scores {
-                            Some(scores) => {
-                                if self.bound {
-                                    // Statically-exact scores are valid
-                                    // dominance incumbents.
-                                    self.incumbents.push(scores.clone());
-                                }
-                                self.cache.insert(keys[i].clone(), scores);
-                                self.pruned.insert(keys[i].clone());
-                                self.lint_pruned += 1;
-                            }
-                            None => survivors.push(i),
-                        }
-                    } else {
-                        survivors.push(i);
+                let scores: Option<Vec<f64>> = objectives
+                    .iter()
+                    .map(|o| {
+                        o.store_key()
+                            .and_then(|k| entry.scores.get(&k).copied())
+                            .or_else(|| o.score_json(&entry.report))
+                    })
+                    .collect();
+                if let Some(scores) = &scores {
+                    let missing =
+                        persistable(objectives, scores, |k| !entry.scores.contains_key(k));
+                    if !missing.is_empty() {
+                        let (report, cost) = (entry.report.clone(), entry.cost);
+                        guard.put(&prepared[i].to_json(), report, missing, cost)?;
                     }
                 }
-                missing = survivors;
+                found.push(scores);
             }
+            drop(guard);
+            ledger.store_hits = self.settle(keys, &mut pending, found, Origin::Store);
+            ledger.store_misses = pending.len() as u64;
         }
 
-        if self.budget.is_some() && !self.bound {
-            // With bound pruning the batch is charged chunk by chunk
-            // below (later chunks may never run); without it the whole
-            // batch is admitted or rejected up front.
+        // Lint: score statically-infeasible entries without simulating.
+        // Only sound when every objective's static score is exact — a
+        // declared constant DNF score, or (in bound mode) a degenerate
+        // `lo == hi` bracket from the shared engine.
+        if self.prefilter && (self.bound || objectives.iter().all(|o| o.dnf_score().is_some())) {
+            let bound = self.bound;
+            let linter = self
+                .linter
+                .get_or_insert_with(|| Linter::with_catalog(self.catalog.clone()));
+            let statics: Vec<Option<Vec<f64>>> = pending
+                .iter()
+                .map(|&i| {
+                    if !linter.lint_spec(&prepared[i]).has_errors() {
+                        return None;
+                    }
+                    objectives
+                        .iter()
+                        .map(|o| {
+                            o.dnf_score().or_else(|| {
+                                bound
+                                    .then(|| o.static_bracket(&prepared[i], linter.bounder()))
+                                    .flatten()
+                                    .filter(|b| b.is_exact())
+                                    .map(|b| b.lo)
+                            })
+                        })
+                        .collect()
+                })
+                .collect();
+            ledger.lint_checks = pending.len() as u64;
+            ledger.lint_pruned = self.settle(keys, &mut pending, statics, Origin::Lint);
+        }
+
+        ledger.misses = pending.len() as u64;
+        if pending.is_empty() {
+            return Ok(first);
+        }
+        let miss_cost = registry.histogram(
+            "edc_eval_miss_cost_units",
+            "Per-miss simulation cost in full-fidelity-equivalent units.",
+            &[("phase", phase)],
+            &COST_UNIT_BOUNDS,
+        );
+
+        // Bound: one static lower-bound vector per entry (none without
+        // bound pruning, which also makes the whole batch one chunk).
+        let mut lower: HashMap<usize, Vec<f64>> = HashMap::new();
+        let chunk_len = if self.bound {
+            ledger.bound_checks = pending.len() as u64;
+            let linter = self
+                .linter
+                .get_or_insert_with(|| Linter::with_catalog(self.catalog.clone()));
+            for &i in &pending {
+                let lo: Option<Vec<f64>> = objectives
+                    .iter()
+                    .map(|o| {
+                        o.static_bracket(&prepared[i], linter.bounder())
+                            .map(|b| b.lo)
+                    })
+                    .collect();
+                if let Some(lo) = lo {
+                    lower.insert(i, lo);
+                }
+            }
+            BOUND_CHUNK
+        } else {
+            pending.len()
+        };
+
+        // Simulate, chunk by chunk. Before each chunk, an entry an exact
+        // incumbent dominates even at its optimistic lower bounds can
+        // never reach the front: its bounds are memoised as a sound
+        // stand-in instead of simulating it.
+        let store = self.store.clone();
+        while !pending.is_empty() {
+            let dominated: Vec<Option<Vec<f64>>> = pending
+                .iter()
+                .map(|i| {
+                    lower
+                        .get(i)
+                        .filter(|lo| self.incumbents.iter().any(|inc| dominates(inc, lo)))
+                        .cloned()
+                })
+                .collect();
+            ledger.bound_pruned += self.settle(keys, &mut pending, dominated, Origin::Bound);
+            if pending.is_empty() {
+                break;
+            }
+            let mut chunk: Vec<usize> = pending.drain(..pending.len().min(chunk_len)).collect();
             if let Some(budget) = self.budget {
-                let batch_cost: f64 = missing.iter().map(|&i| self.cost_of(&prepared[i])).sum();
-                let needed = self.cost_units + batch_cost;
+                let chunk_cost: f64 = chunk.iter().map(|&i| self.cost_of(&prepared[i])).sum();
+                let needed = ledger.spent + chunk_cost;
                 if needed > budget as f64 {
                     return Err(ExploreError::BudgetExhausted { budget, needed });
                 }
             }
-        }
-
-        let registry = self.metrics.clone().unwrap_or_else(edc_metrics::global);
-        if !missing.is_empty() {
-            let miss_cost = registry.histogram(
-                "edc_eval_miss_cost_units",
-                "Per-miss simulation cost in full-fidelity-equivalent units.",
-                &[("phase", phase)],
-                &COST_UNIT_BOUNDS,
-            );
-            if self.bound {
-                // Branch-and-bound: a per-miss lower-bound vector, then
-                // chunked simulation with a dominance-pruning pass over
-                // the pending misses before each chunk.
-                let mut lo_vecs: HashMap<usize, Vec<f64>> = HashMap::new();
-                {
-                    let linter = self
-                        .linter
-                        .get_or_insert_with(|| Linter::with_catalog(self.catalog.clone()));
-                    for &i in &missing {
-                        self.bound_checks += 1;
-                        let lo: Option<Vec<f64>> = objectives
-                            .iter()
-                            .map(|o| {
-                                o.static_bracket(&prepared[i], linter.bounder())
-                                    .map(|b| b.lo)
-                            })
-                            .collect();
-                        if let Some(lo) = lo {
-                            lo_vecs.insert(i, lo);
-                        }
+            let batch: Vec<ExperimentSpec> = chunk.iter().map(|&i| prepared[i]).collect();
+            let rows = run_specs_timed_metered(batch, self.threads, &self.catalog, registry)?.rows;
+            let mut guard = store
+                .as_ref()
+                .map(|s| s.lock().unwrap_or_else(std::sync::PoisonError::into_inner));
+            let mut simulated = Vec::with_capacity(chunk.len());
+            for (&i, row) in chunk.iter().zip(rows) {
+                let spec = &prepared[i];
+                let scores: Vec<f64> = objectives
+                    .iter()
+                    .map(|o| o.score(spec, &row.report))
+                    .collect();
+                let cost = self.cost_of(spec);
+                if let Some(guard) = guard.as_mut() {
+                    let named = persistable(objectives, &scores, |_| true);
+                    if guard.put(&spec.to_json(), row.report.to_json(), named, cost)? {
+                        registry
+                            .counter(
+                                "edc_store_writes",
+                                "Simulated evaluations written back to the persistent store, \
+                                 per search phase.",
+                                &[("phase", phase)],
+                            )
+                            .inc();
                     }
                 }
-                let mut pending = missing.clone();
-                while !pending.is_empty() {
-                    let mut survivors = Vec::with_capacity(pending.len());
-                    for &i in &pending {
-                        let dominated = lo_vecs
-                            .get(&i)
-                            .is_some_and(|lo| self.incumbents.iter().any(|inc| dominates(inc, lo)));
-                        if dominated {
-                            // An exact incumbent dominates this candidate
-                            // even at its optimistic lower bounds; its true
-                            // scores can never reach the front. Cache the
-                            // bounds as a sound stand-in.
-                            self.cache.insert(keys[i].clone(), lo_vecs[&i].clone());
-                            self.bound_pruned_keys.insert(keys[i].clone());
-                            self.bound_pruned += 1;
-                        } else {
-                            survivors.push(i);
-                        }
-                    }
-                    pending = survivors;
-                    if pending.is_empty() {
-                        break;
-                    }
-                    let take = pending.len().min(BOUND_CHUNK);
-                    let chunk: Vec<usize> = pending.drain(..take).collect();
-                    if let Some(budget) = self.budget {
-                        let chunk_cost: f64 =
-                            chunk.iter().map(|&i| self.cost_of(&prepared[i])).sum();
-                        let needed = self.cost_units + chunk_cost;
-                        if needed > budget as f64 {
-                            return Err(ExploreError::BudgetExhausted { budget, needed });
-                        }
-                    }
-                    let batch: Vec<ExperimentSpec> = chunk.iter().map(|&i| prepared[i]).collect();
-                    let rows =
-                        run_specs_timed_metered(batch, self.threads, &self.catalog, &registry)?
-                            .rows;
-                    for (&i, row) in chunk.iter().zip(rows) {
-                        let scores: Vec<f64> = objectives
-                            .iter()
-                            .map(|o| o.score(&prepared[i], &row.report))
-                            .collect();
-                        self.incumbents.push(scores.clone());
-                        let cost = self.cost_of(&prepared[i]);
-                        if let Some(store) = &self.store {
-                            store_write_back(
-                                store,
-                                objectives,
-                                &prepared[i],
-                                &row.report,
-                                &scores,
-                                cost,
-                                &registry,
-                                phase,
-                            )?;
-                        }
-                        self.cache.insert(keys[i].clone(), scores);
-                        self.simulations += 1;
-                        self.cost_units += cost;
-                        miss_cost.observe(cost);
-                    }
-                }
-            } else {
-                let batch: Vec<ExperimentSpec> = missing.iter().map(|&i| prepared[i]).collect();
-                let rows =
-                    run_specs_timed_metered(batch, self.threads, &self.catalog, &registry)?.rows;
-                for (&i, row) in missing.iter().zip(rows) {
-                    let scores: Vec<f64> = objectives
-                        .iter()
-                        .map(|o| o.score(&prepared[i], &row.report))
-                        .collect();
-                    let cost = self.cost_of(&prepared[i]);
-                    if let Some(store) = &self.store {
-                        store_write_back(
-                            store,
-                            objectives,
-                            &prepared[i],
-                            &row.report,
-                            &scores,
-                            cost,
-                            &registry,
-                            phase,
-                        )?;
-                    }
-                    self.cache.insert(keys[i].clone(), scores);
-                    self.simulations += 1;
-                    self.cost_units += cost;
-                    miss_cost.observe(cost);
-                }
+                ledger.simulations += 1;
+                ledger.spent += cost;
+                miss_cost.observe(cost);
+                simulated.push(Some(scores));
             }
+            self.settle(keys, &mut chunk, simulated, Origin::Simulated);
         }
+        Ok(first)
+    }
 
-        let fresh: HashSet<usize> = missing.iter().copied().collect();
-        let mut evaluations = Vec::with_capacity(prepared.len());
-        for (i, (spec, key)) in prepared.into_iter().zip(keys).enumerate() {
-            let scores = self.cache[&key].clone();
-            // A pruned candidate was never simulated: its entries are
-            // marked pruned (or bound-pruned), not cached, and don't count
-            // as cache hits.
-            let pruned = self.pruned.contains(&key);
-            let bound_pruned = self.bound_pruned_keys.contains(&key);
-            let store_hit = store_fresh.contains(&i);
-            let cached = !pruned && !bound_pruned && !store_hit && !fresh.contains(&i);
-            if cached {
-                self.cache_hits += 1;
+    /// Memoises every pending entry `resolved` holds scores for (in bound
+    /// mode, exact ones also become dominance incumbents) and leaves the
+    /// rest pending, in order. Returns how many it settled.
+    fn settle(
+        &mut self,
+        keys: &[String],
+        pending: &mut Vec<usize>,
+        resolved: Vec<Option<Vec<f64>>>,
+        origin: Origin,
+    ) -> u64 {
+        let before = pending.len();
+        let mut resolved = resolved.into_iter();
+        pending.retain(|&i| {
+            let Some(scores) = resolved.next().flatten() else {
+                return true;
+            };
+            if self.bound && origin != Origin::Bound {
+                self.incumbents.push(scores.clone());
             }
+            self.memo.insert(keys[i].clone(), (scores, origin));
+            false
+        });
+        (before - pending.len()) as u64
+    }
+
+    /// Records one trace entry and one evaluation per input, in input
+    /// order, counting memo hits. Lint- and bound-pruned keys stay
+    /// flagged as such on every later request; store-resolved and
+    /// simulated keys count as cache hits from their second request on.
+    fn record(
+        &mut self,
+        prepared: Vec<ExperimentSpec>,
+        keys: Vec<String>,
+        first: &[bool],
+        phase: &str,
+        ledger: &mut Ledger,
+    ) -> Vec<Evaluation> {
+        ledger.requests = keys.len() as u64;
+        let mut evaluations = Vec::with_capacity(keys.len());
+        for ((spec, key), &first) in prepared.into_iter().zip(keys).zip(first) {
+            let (scores, origin) = &self.memo[&key];
+            let pruned = *origin == Origin::Lint;
+            let bound_pruned = *origin == Origin::Bound;
+            let store_hit = first && *origin == Origin::Store;
+            let cached = !first && !pruned && !bound_pruned;
+            ledger.cache_hits += u64::from(cached);
             self.trace.push(TraceEntry {
                 phase: phase.to_string(),
                 spec,
@@ -628,91 +722,13 @@ impl<'a> Evaluator<'a> {
                 bound_pruned,
                 store_hit,
             });
-            evaluations.push(Evaluation { spec, key, scores });
+            evaluations.push(Evaluation {
+                spec,
+                key,
+                scores: scores.clone(),
+            });
         }
-        let phase_label = [("phase", phase)];
-        registry
-            .counter(
-                "edc_eval_requests",
-                "Evaluation requests, per search phase.",
-                &phase_label,
-            )
-            .inc_by(evaluations.len() as u64);
-        registry
-            .counter(
-                "edc_eval_misses",
-                "Evaluation requests that simulated (memo-cache misses), per search phase.",
-                &phase_label,
-            )
-            .inc_by(missing.len() as u64);
-        registry
-            .counter(
-                "edc_eval_cache_hits",
-                "Evaluation requests served by the memo cache, per search phase.",
-                &phase_label,
-            )
-            .inc_by(self.cache_hits - before.0);
-        registry
-            .counter(
-                "edc_eval_lint_checks",
-                "Cache misses the lint prefilter examined, per search phase.",
-                &phase_label,
-            )
-            .inc_by(self.lint_checks - before.1);
-        registry
-            .counter(
-                "edc_eval_lint_pruned",
-                "Cache misses the lint prefilter scored statically, per search phase.",
-                &phase_label,
-            )
-            .inc_by(self.lint_pruned - before.2);
-        registry
-            .counter(
-                "edc_eval_bound_checks",
-                "Cache misses branch-and-bound derived static lower bounds for, per search phase.",
-                &phase_label,
-            )
-            .inc_by(self.bound_checks - before.4);
-        registry
-            .counter(
-                "edc_eval_bound_pruned",
-                "Cache misses branch-and-bound dominance-pruned without simulating, per search \
-                 phase.",
-                &phase_label,
-            )
-            .inc_by(self.bound_pruned - before.5);
-        if self.store.is_some() {
-            registry
-                .counter(
-                    "edc_store_hits",
-                    "Memo-cache misses served by the persistent store, per search phase.",
-                    &phase_label,
-                )
-                .inc_by(store_fresh.len() as u64);
-            registry
-                .counter(
-                    "edc_store_misses",
-                    "Memo-cache misses the persistent store could not serve, per search phase.",
-                    &phase_label,
-                )
-                .inc_by(store_misses);
-        }
-        let mut span = ProfileSpan::new(phase)
-            .counter("requests", evaluations.len() as f64)
-            .counter("misses", missing.len() as f64)
-            .counter("cache_hits", (self.cache_hits - before.0) as f64)
-            .counter("lint_checks", (self.lint_checks - before.1) as f64)
-            .counter("lint_pruned", (self.lint_pruned - before.2) as f64)
-            .counter("bound_checks", (self.bound_checks - before.4) as f64)
-            .counter("bound_pruned", (self.bound_pruned - before.5) as f64)
-            .counter("cost", self.cost_units - before.3);
-        if self.store.is_some() {
-            // Appended so store-less profiles keep their exact shape.
-            span = span.counter("store_hits", store_fresh.len() as f64);
-        }
-        self.profile
-            .push(span.wall(started.elapsed().as_secs_f64()));
-        Ok(evaluations)
+        evaluations
     }
 
     /// Number of objectives each evaluation is scored on.
@@ -722,12 +738,12 @@ impl<'a> Evaluator<'a> {
 
     /// Number of simulations actually run (cache misses).
     pub fn simulations(&self) -> u64 {
-        self.simulations
+        self.totals.simulations
     }
 
     /// Number of evaluation requests served from the memo cache.
     pub fn cache_hits(&self) -> u64 {
-        self.cache_hits
+        self.totals.cache_hits
     }
 
     /// Full-fidelity-equivalent simulation cost: each run contributes
@@ -736,27 +752,27 @@ impl<'a> Evaluator<'a> {
     /// decimated prefilter runs are cheap, fleet-objective misses are
     /// charged per node.
     pub fn cost_units(&self) -> f64 {
-        self.cost_units
+        self.totals.spent
     }
 
-    /// Number of specs the lint prefilter examined (cache misses seen
-    /// while the prefilter was enabled and every objective had a DNF
-    /// score).
+    /// Number of specs the lint prefilter examined: cache misses the
+    /// store did not serve, seen while the prefilter was enabled and
+    /// either bound pruning was on or every objective had a DNF score.
     pub fn lint_checks(&self) -> u64 {
-        self.lint_checks
+        self.totals.lint_checks
     }
 
     /// Number of specs the lint prefilter scored statically instead of
     /// simulating.
     pub fn lint_pruned(&self) -> u64 {
-        self.lint_pruned
+        self.totals.lint_pruned
     }
 
     /// Number of cache misses branch-and-bound examined for static lower
     /// bounds (bound pruning enabled; misses where an objective produced
     /// no bracket are still counted, they just can never be pruned).
     pub fn bound_checks(&self) -> u64 {
-        self.bound_checks
+        self.totals.bound_checks
     }
 
     /// Number of cache misses branch-and-bound dominance-pruned: scored
@@ -764,14 +780,14 @@ impl<'a> Evaluator<'a> {
     /// already-exact incumbent dominates even their most optimistic
     /// possible scores.
     pub fn bound_pruned(&self) -> u64 {
-        self.bound_pruned
+        self.totals.bound_pruned
     }
 
     /// Number of memo-cache misses the persistent store served without
     /// simulating (each billed at zero cost). Always zero without
     /// [`Evaluator::with_store`].
     pub fn store_hits(&self) -> u64 {
-        self.store_hits
+        self.totals.store_hits
     }
 
     /// The recorded trace, in evaluation-request order.
@@ -782,11 +798,12 @@ impl<'a> Evaluator<'a> {
     /// Per-phase profiling: one [`ProfileSpan`] per successful
     /// [`Evaluator::evaluate`] call, named after its search phase, whose
     /// counters (`requests`, `misses`, `cache_hits`, `lint_checks`,
-    /// `lint_pruned`, `bound_checks`, `bound_pruned`, `cost`) are the
-    /// call's deltas of the corresponding
-    /// totals — deterministic — while `wall_s` carries the call's real
-    /// duration, quarantined by [`ProfileReport`]. Calls that fail (budget
-    /// exhaustion, validation) record no span.
+    /// `lint_pruned`, `bound_checks`, `bound_pruned`, `cost`, and
+    /// `store_hits` when a store is attached) are the call's own counts —
+    /// deterministic — while `wall_s` carries the call's real duration,
+    /// quarantined by [`ProfileReport`]. `misses` counts every entry that
+    /// reached the bound/simulate stage, bound-pruned ones included.
+    /// Calls that fail (budget exhaustion, validation) record no span.
     pub fn profile(&self) -> &ProfileReport {
         &self.profile
     }
@@ -797,45 +814,22 @@ impl<'a> Evaluator<'a> {
     }
 }
 
-/// Writes one simulated evaluation back to the persistent store: the
-/// canonical spec, the full report JSON, every persistable objective
-/// score (by [`Objective::store_key`]; NaN never stored), and the cost
-/// the miss was billed.
-#[allow(clippy::too_many_arguments)]
-fn store_write_back(
-    store: &StoreHandle,
+/// The scores worth persisting, by [`Objective::store_key`]: never NaN,
+/// and only under store keys `keep` accepts.
+fn persistable(
     objectives: &[Box<dyn Objective>],
-    spec: &ExperimentSpec,
-    report: &SystemReport,
     scores: &[f64],
-    cost: f64,
-    registry: &edc_metrics::Registry,
-    phase: &str,
-) -> Result<(), ExploreError> {
-    let mut named: BTreeMap<String, f64> = BTreeMap::new();
-    for (o, s) in objectives.iter().zip(scores) {
+    keep: impl Fn(&str) -> bool,
+) -> BTreeMap<String, f64> {
+    let mut named = BTreeMap::new();
+    for (o, &s) in objectives.iter().zip(scores) {
         if let Some(key) = o.store_key() {
-            if !s.is_nan() {
-                named.insert(key, *s);
+            if !s.is_nan() && keep(&key) {
+                named.insert(key, s);
             }
         }
     }
-    let mut guard = store
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let appended = guard
-        .put(&spec.to_json(), report.to_json(), named, cost)
-        .map_err(ExploreError::Store)?;
-    if appended {
-        registry
-            .counter(
-                "edc_store_writes",
-                "Simulated evaluations written back to the persistent store, per search phase.",
-                &[("phase", phase)],
-            )
-            .inc();
-    }
-    Ok(())
+    named
 }
 
 #[cfg(test)]

@@ -80,6 +80,11 @@ use crate::search::{CoordinateDescent, ExhaustiveGrid, RandomSearch, Searcher, S
 use crate::space::SpecSpace;
 use crate::{CompletionTime, EnergyPerTask, Explorer};
 
+/// The full-fidelity timestep served misses are billed against:
+/// [`ExperimentSpec::new`]'s 20 µs default. Fixed, so the cost a miss
+/// writes to the store never depends on the other specs in its batch.
+const REFERENCE_DT: Seconds = Seconds(20e-6);
+
 /// One batched evaluate request, waiting for the next flush.
 struct Pending {
     id: Option<Json>,
@@ -277,13 +282,7 @@ impl ServeSession {
         // Source of each freshly-resolved key: "store" or "simulated".
         let mut fresh_source: HashMap<String, &'static str> = HashMap::new();
         if !unique.is_empty() {
-            let reference_dt = Seconds(
-                unique
-                    .iter()
-                    .map(|p| p.spec.timestep.0)
-                    .fold(f64::INFINITY, f64::min),
-            );
-            let mut eval = Evaluator::new(&self.objectives, self.threads, None, reference_dt)
+            let mut eval = Evaluator::new(&self.objectives, self.threads, None, REFERENCE_DT)
                 .with_catalog(self.catalog.clone())
                 .with_metrics(self.metrics.clone());
             if let Some(store) = &self.store {
@@ -675,6 +674,37 @@ mod tests {
         assert!(lines[1].starts_with(r#"{"id":9,"ok":true,"op":"fetch""#));
         assert!(lines[1].contains(r#""cost":"#));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_served_miss_stores_the_same_cost_whatever_its_batch() {
+        let coarse = spec().timestep(Seconds(80e-6));
+        let key = hex16(key_hash(&coarse.to_json().to_string()));
+        let fetched_cost = |tag: &str, batch: &[ExperimentSpec]| {
+            let dir = std::env::temp_dir().join(format!("edc-serve-test-cost-{tag}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            let store = edc_store::Store::open(&dir).expect("open").into_handle();
+            let mut session = ServeSession::new().threads(1).store(store);
+            let mut input = String::new();
+            for (id, spec) in batch.iter().enumerate() {
+                input.push_str(&evaluate_line(id as u64, spec));
+                input.push('\n');
+            }
+            input.push_str(&format!(
+                "{{\"id\":9,\"op\":\"fetch\",\"key\":\"{key}\"}}\n"
+            ));
+            let out = session.serve_text(&input);
+            let fetched = Json::parse(out.lines().last().unwrap()).expect("fetch JSON");
+            let _ = std::fs::remove_dir_all(&dir);
+            match fetched.get("entries") {
+                Some(Json::Arr(entries)) if entries.len() == 1 => entries[0].get("cost").cloned(),
+                other => panic!("one entry expected, got {other:?}"),
+            }
+        };
+        let alone = fetched_cost("alone", &[coarse]);
+        let batched = fetched_cost("batched", &[coarse, spec()]);
+        assert_eq!(alone, batched, "cost depends on the batch");
+        assert_eq!(alone, Some(Json::Num(0.25)), "billed against 20 µs");
     }
 
     #[test]
