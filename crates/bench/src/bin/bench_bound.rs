@@ -21,7 +21,7 @@
 //! (deterministic, byte-diffable), the comparison, and wall-clock timing
 //! under `bound_timing` (non-deterministic, kept outside the reports).
 //!
-//! Run: `cargo run --release -p edc-explore --bin bench_bound`
+//! Run: `cargo run --release -p edc-bench --bin bench_bound`
 //! Output path override: `bench_bound <path>` (default `BENCH_bound.json`).
 //!
 //! `--store DIR` runs both searches against a persistent evaluation

@@ -12,7 +12,7 @@
 //! sections (byte-diffable between commits), the budget comparison, and
 //! wall-clock timing (non-deterministic, kept outside the reports).
 //!
-//! Run: `cargo run --release -p edc-explore --bin bench_explore`
+//! Run: `cargo run --release -p edc-bench --bin bench_explore`
 //! Output path override: `bench_explore <path>` (default
 //! `BENCH_explore.json` in the working directory).
 //!

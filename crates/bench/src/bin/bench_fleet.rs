@@ -7,13 +7,13 @@
 //! 1 to 16 nodes along a line placement (full strength down to 75%) with a
 //! 4 ms phase stagger, then replays the same design against a recorded
 //! power trace of the field, which registers itself in a `TraceCatalog`
-//! and runs through the same spec-driven `run_specs` path.
+//! and runs through the same spec-driven `run_specs_timed_metered` path.
 //!
 //! `BENCH_fleet.json` layout: the deterministic `FleetReport` sections
 //! (byte-diffable between commits) plus wall-clock timing per fleet size
 //! (non-deterministic, kept outside the reports).
 //!
-//! Run: `cargo run --release -p edc-fleet --bin bench_fleet`
+//! Run: `cargo run --release -p edc-bench --bin bench_fleet`
 //! Output path override: `bench_fleet <path>` (default `BENCH_fleet.json`
 //! in the working directory).
 //!

@@ -18,7 +18,7 @@
 //! (deterministic, byte-diffable), the comparison, and wall-clock timing
 //! (non-deterministic, kept outside the reports).
 //!
-//! Run: `cargo run --release -p edc-explore --bin bench_lint`
+//! Run: `cargo run --release -p edc-bench --bin bench_lint`
 //! Output path override: `bench_lint <path>` (default `BENCH_lint.json`).
 //!
 //! `--store DIR` runs both searches against a persistent evaluation

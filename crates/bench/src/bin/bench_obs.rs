@@ -14,17 +14,17 @@
 //! byte-diffable between commits; `timing` is wall-clock and excluded
 //! from determinism expectations.
 //!
-//! Run: `cargo run --release -p edc-explore --bin bench_obs`
+//! Run: `cargo run --release -p edc-bench --bin bench_obs`
 //! Output path override: `bench_obs <path>` (default `BENCH_obs.json` in
 //! the working directory).
 
-use edc_bench::sweep::{run_specs_timed, SweepRow};
+use edc_bench::sweep::{run_specs_timed_metered, SweepRow};
 use edc_bench::{banner, TextTable};
 use edc_core::experiment::ExperimentSpec;
 use edc_core::json::Json;
 use edc_core::scenarios::{SourceKind, StrategyKind};
 use edc_core::telemetry::{timeline_json, TelemetryReport};
-use edc_core::TelemetryKind;
+use edc_core::{TelemetryKind, TraceCatalog};
 use edc_explore::seed::sizing_seeded_decoupling_axis;
 use edc_explore::SpecSpace;
 use edc_units::{Joules, Seconds, Volts};
@@ -65,7 +65,9 @@ fn run_variant(
     let mut rows = None;
     for _ in 0..reps {
         let batch: Vec<ExperimentSpec> = specs.iter().map(|s| s.telemetry(telemetry)).collect();
-        let run = run_specs_timed(batch, threads).unwrap_or_else(|e| {
+        let catalog = TraceCatalog::new();
+        let run = run_specs_timed_metered(batch, threads, &catalog, &edc_metrics::global());
+        let run = run.unwrap_or_else(|e| {
             eprintln!("sweep failed: {e}");
             std::process::exit(1);
         });

@@ -20,7 +20,7 @@
 //! (byte-diffable between commits), the comparison, and wall-clock
 //! timing (non-deterministic, kept outside the reports).
 //!
-//! Run: `cargo run --release -p edc-explore --bin bench_store`
+//! Run: `cargo run --release -p edc-bench --bin bench_store`
 //! Output path override: `bench_store <path>` (default `BENCH_store.json`).
 //! Store directories live under the system temp dir and are rebuilt from
 //! scratch on every run.

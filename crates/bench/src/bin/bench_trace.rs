@@ -14,7 +14,7 @@
 //! comparison, and wall-clock timing (non-deterministic, kept outside the
 //! reports).
 //!
-//! Run: `cargo run --release -p edc-explore --bin bench_trace`
+//! Run: `cargo run --release -p edc-bench --bin bench_trace`
 //! Output path override: `bench_trace <path>` (default `BENCH_trace.json`
 //! in the working directory).
 //!

@@ -12,7 +12,8 @@
 use edc_bench::{banner, TextTable};
 use edc_core::experiment::ExperimentSpec;
 use edc_core::scenarios::{SourceKind, StrategyKind};
-use edc_transient::TransientEvent;
+use edc_core::{TelemetryKind, TelemetryReport};
+use edc_telemetry::Phase;
 use edc_units::{Hertz, Seconds};
 use edc_workloads::WorkloadKind;
 
@@ -29,6 +30,7 @@ fn main() {
     )
     .leakage(edc_units::Ohms(100_000.0))
     .trace(50)
+    .telemetry(TelemetryKind::Timeline)
     .deadline(Seconds(4.0));
 
     let mut system = match spec.build() {
@@ -53,16 +55,18 @@ fn main() {
     let outcome = report.outcome;
     let stats = report.stats;
     let verified = report.verification.clone();
-    let runner = system.runner();
+    let Some(TelemetryReport::Timeline(timeline)) = &report.telemetry else {
+        unreachable!("the spec selects timeline telemetry");
+    };
 
     banner("Events");
     let mut t = TextTable::new(&["t (s)", "cycle#", "event"]);
-    for (time, event) in runner.log().events() {
-        let cycle = (time.0 * supply_hz.0).floor() as u64 + 1;
+    for record in timeline.records() {
+        let cycle = (record.t.0 * supply_hz.0).floor() as u64 + 1;
         t.row(&[
-            format!("{:.4}", time.0),
+            format!("{:.4}", record.t.0),
             cycle.to_string(),
-            event.to_string(),
+            record.event.to_string(),
         ]);
     }
     print!("{}", t.render());
@@ -80,9 +84,13 @@ fn main() {
         "snapshots: {} (sealed) + {} (torn); restores: {}; brownouts: {}",
         stats.snapshots, stats.torn_snapshots, stats.restores, stats.brownouts
     );
-    let dips = runner
-        .log()
-        .count(|e| matches!(e, TransientEvent::Hibernate));
+    // Hibernations: the sleep phases entered before the task completed
+    // (completion parks the machine in sleep too).
+    let dips = timeline
+        .phases()
+        .iter()
+        .filter(|p| p.phase == Phase::Sleep && stats.completed_at.is_none_or(|done| p.t < done))
+        .count();
     println!(
         "snapshots per supply dip: {:.2} (paper: exactly one per failure)",
         if dips > 0 {
@@ -94,7 +102,7 @@ fn main() {
     println!("FFT verification: {verified:?}");
 
     banner("Vcc trace (TSV, decimated)");
-    if let Some(trace) = runner.vcc_trace() {
+    if let Some(trace) = system.runner().vcc_trace() {
         let pts = trace.points();
         for (i, (time, v)) in pts.iter().enumerate() {
             if i % 20 == 0 {

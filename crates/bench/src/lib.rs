@@ -1,5 +1,5 @@
-//! Shared helpers for the figure/table regeneration binaries and the
-//! Criterion benches.
+//! Shared helpers for the figure/table regeneration binaries, the
+//! `BENCH_*.json` producers and the Criterion benches.
 //!
 //! Each binary in `src/bin/` regenerates one figure or claim from the paper
 //! (see DESIGN.md's per-experiment index) and prints its data as aligned
@@ -12,7 +12,6 @@ pub mod diff;
 pub mod sweep;
 
 pub use diff::{diff_artifacts, DiffReport, Policy, Rule};
-pub use sweep::{par_map, render_json, render_text, Sweep, SweepRow, SweepRun, SweepTiming};
 
 use std::fmt::Display;
 

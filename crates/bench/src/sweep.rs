@@ -1,5 +1,6 @@
-//! The sweep engine: cartesian grids of [`ExperimentSpec`]s fanned out
-//! across threads, with deterministic, ordered results.
+//! Cartesian grids of [`ExperimentSpec`]s on the core sweep engine
+//! ([`edc_core::sweep`], whose names this module re-exports), plus the
+//! grid-level lint, store write-back and text/JSON renderers.
 //!
 //! A sweep is defined by a base spec plus the axes to vary (sources,
 //! strategies, workloads). Row order is fixed by the grid — source-major,
@@ -30,44 +31,17 @@
 //! # Ok::<(), edc_core::experiment::BuildError>(())
 //! ```
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
-
 use edc_core::catalog::TraceCatalog;
 use edc_core::experiment::{BuildError, ExperimentSpec};
 use edc_core::json::Json;
 use edc_core::scenarios::{SourceKind, StrategyKind};
-use edc_core::telemetry::{stats_json, TelemetryReport};
-use edc_core::SystemReport;
-use edc_obs::{ProfileReport, ProfileSpan};
-use edc_telemetry::StatsSink;
 use edc_workloads::WorkloadKind;
 
+pub use edc_core::sweep::{
+    par_map, run_specs_timed_metered, SweepRow, SweepRun, SweepTiming, BATCH_SIZE_BOUNDS,
+};
+
 use crate::TextTable;
-
-/// One grid point's result: the spec that produced it, its position in the
-/// grid, and the run's report.
-#[derive(Debug, Clone)]
-pub struct SweepRow {
-    /// Stable position in the grid's row order.
-    pub index: usize,
-    /// The spec this row ran.
-    pub spec: ExperimentSpec,
-    /// The run's report.
-    pub report: SystemReport,
-}
-
-impl SweepRow {
-    /// The row as a JSON value with deterministic field order.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("index", Json::Uint(self.index as u64)),
-            ("spec", self.spec.to_json()),
-            ("report", self.report.to_json()),
-        ])
-    }
-}
 
 /// A cartesian sweep over experiment axes.
 #[derive(Debug, Clone)]
@@ -200,338 +174,83 @@ impl Sweep {
     }
 }
 
-/// Wall-clock timing of a sweep. **Not deterministic** — keep it out of
-/// any output that is diffed byte-for-byte (the row/telemetry sections
-/// are; timing is reported alongside, never inside, them).
-#[derive(Debug, Clone)]
-pub struct SweepTiming {
-    /// End-to-end wall-clock of the sweep, including scheduling.
-    pub total_s: f64,
-    /// Per-cell wall-clock, in grid row order.
-    pub per_cell_s: Vec<f64>,
-}
-
-impl SweepTiming {
-    /// The timing as a JSON value.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("total_s", Json::Num(self.total_s)),
-            (
-                "per_cell_s",
-                Json::Arr(self.per_cell_s.iter().map(|&s| Json::Num(s)).collect()),
-            ),
-        ])
-    }
-}
-
-/// A completed sweep: ordered rows plus wall-clock timing.
-#[derive(Debug, Clone)]
-pub struct SweepRun {
-    /// The grid's rows, in stable order.
-    pub rows: Vec<SweepRow>,
-    /// Wall-clock timing (non-deterministic).
-    pub timing: SweepTiming,
-}
-
-impl SweepRun {
-    /// Folds every cell's [`StatsSink`] telemetry into one grid-level
-    /// sink (deterministic: merge happens in row order). `None` when no
-    /// cell ran with stats telemetry.
-    pub fn aggregate_stats(&self) -> Option<StatsSink> {
-        let mut merged: Option<StatsSink> = None;
-        for row in &self.rows {
-            if let Some(TelemetryReport::Stats(cell)) = &row.report.telemetry {
-                merged.get_or_insert_with(StatsSink::new).merge(cell);
-            }
-        }
-        merged
-    }
-
-    /// The deterministic part of the sweep's output: rows (per-cell specs,
-    /// reports and telemetry summaries) plus the grid-level aggregate.
-    /// Byte-identical across repeated runs of the same grid, serial or
-    /// parallel.
-    pub fn telemetry_json(&self) -> Json {
-        Json::obj(vec![
-            ("cells", Json::Uint(self.rows.len() as u64)),
-            (
-                "aggregate",
-                Json::option(self.aggregate_stats(), |s| stats_json(&s)),
-            ),
-            (
-                "rows",
-                Json::Arr(self.rows.iter().map(SweepRow::to_json).collect()),
-            ),
-        ])
-    }
-
-    /// The full sweep artifact: the deterministic telemetry section plus
-    /// wall-clock timing.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("telemetry", self.telemetry_json()),
-            ("timing", self.timing.to_json()),
-        ])
-    }
-
-    /// Writes every row back into a persistent evaluation store, making
-    /// the sweep a **producer** for later searches and serving sessions:
-    /// a subsequent [`edc_store::Store`]-backed search over specs this
-    /// grid covered re-scores the stored reports instead of simulating.
-    /// Sweeps themselves always simulate — rows carry full
-    /// in-memory reports the store's JSON envelope cannot reconstruct.
-    ///
-    /// Each entry is keyed by the row's canonical spec JSON and carries
-    /// the report JSON, no objective scores (searches recompute and merge
-    /// them back on first use), and a full-fidelity cost of `1.0` per
-    /// cell. Returns the number of entries actually appended (rows a
-    /// previous run already stored merge instead), counted by the
-    /// `edc_store_writes` metric under `phase="sweep"`.
-    ///
-    /// # Errors
-    ///
-    /// Any [`edc_store::StoreError`] from the underlying
-    /// [`Store::put`](edc_store::Store::put) — an I/O failure, or a
-    /// conflicting entry already stored under a row's spec.
-    ///
-    /// ```
-    /// use edc_bench::sweep::Sweep;
-    /// use edc_core::experiment::ExperimentSpec;
-    /// use edc_core::scenarios::{SourceKind, StrategyKind};
-    /// use edc_store::Store;
-    /// use edc_units::Seconds;
-    /// use edc_workloads::WorkloadKind;
-    ///
-    /// let dir = std::env::temp_dir().join("edc-sweep-doc-store");
-    /// let _ = std::fs::remove_dir_all(&dir);
-    /// let base = ExperimentSpec::new(
-    ///     SourceKind::Dc { volts: 3.3 },
-    ///     StrategyKind::Restart,
-    ///     WorkloadKind::BusyLoop(120),
-    /// )
-    /// .deadline(Seconds(1.0));
-    /// let run = Sweep::over(base)
-    ///     .strategies(&[StrategyKind::Restart, StrategyKind::Hibernus])
-    ///     .run_timed()?;
-    ///
-    /// let store = Store::open(&dir)?.into_handle();
-    /// let registry = edc_metrics::Registry::new();
-    /// assert_eq!(run.store_into(&store, &registry)?, 2);
-    /// // Storing the same rows again merges instead of appending.
-    /// assert_eq!(run.store_into(&store, &registry)?, 0);
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    pub fn store_into(
-        &self,
-        store: &edc_store::StoreHandle,
-        metrics: &edc_metrics::Registry,
-    ) -> Result<u64, edc_store::StoreError> {
-        let mut appended = 0;
-        let mut guard = store
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        for row in &self.rows {
-            if guard.put(
-                &row.spec.to_json(),
-                row.report.to_json(),
-                std::collections::BTreeMap::new(),
-                1.0,
-            )? {
-                appended += 1;
-            }
-        }
-        drop(guard);
-        if appended > 0 {
-            metrics
-                .counter(
-                    "edc_store_writes",
-                    "Simulated evaluations written back to the persistent store, per search phase.",
-                    &[("phase", "sweep")],
-                )
-                .inc_by(appended);
-        }
-        Ok(appended)
-    }
-
-    /// The sweep as a per-cell [`ProfileReport`]: one span per grid row,
-    /// named `cell{index}/{label}`, carrying deterministic run counters
-    /// (boots, brownouts, snapshots, restores, retired cycles) and the
-    /// cell's quarantined wall-clock reading.
-    pub fn profile(&self) -> ProfileReport {
-        let mut profile = ProfileReport::new();
-        for (row, &wall_s) in self.rows.iter().zip(&self.timing.per_cell_s) {
-            let s = &row.report.stats;
-            profile.push(
-                ProfileSpan::new(format!("cell{}/{}", row.index, row.spec.label()))
-                    .counter("boots", s.boots as f64)
-                    .counter("brownouts", s.brownouts as f64)
-                    .counter("snapshots", s.snapshots as f64)
-                    .counter("restores", s.restores as f64)
-                    .counter("cycles", s.cycles as f64)
-                    .wall(wall_s),
-            );
-        }
-        profile
-    }
-}
-
-/// Runs an explicit spec list (one worker per thread, rows claimed by
-/// index) and returns rows in input order.
+/// Writes every row back into a persistent evaluation store, making
+/// the sweep a **producer** for later searches and serving sessions:
+/// a subsequent [`edc_store::Store`]-backed search over specs this
+/// grid covered re-scores the stored reports instead of simulating.
+/// Sweeps themselves always simulate — rows carry full
+/// in-memory reports the store's JSON envelope cannot reconstruct.
+///
+/// Each entry is keyed by the row's canonical spec JSON and carries
+/// the report JSON, no objective scores (searches recompute and merge
+/// them back on first use), and a full-fidelity cost of `1.0` per
+/// cell. Returns the number of entries actually appended (rows a
+/// previous run already stored merge instead), counted by the
+/// `edc_store_writes` metric under `phase="sweep"`.
 ///
 /// # Errors
 ///
-/// Returns the first (by input order) [`BuildError`]. Validation is pure
-/// and cheap, so the whole grid is checked before any simulation starts —
-/// a doomed sweep fails immediately instead of after minutes of wasted
-/// runs.
-pub fn run_specs(specs: Vec<ExperimentSpec>, threads: usize) -> Result<Vec<SweepRow>, BuildError> {
-    Ok(run_specs_timed(specs, threads)?.rows)
-}
-
-/// Like [`run_specs`], resolving trace-backed sources through `catalog`
-/// (shared read-only across the workers).
+/// Any [`edc_store::StoreError`] from the underlying
+/// [`Store::put`](edc_store::Store::put) — an I/O failure, or a
+/// conflicting entry already stored under a row's spec.
 ///
-/// # Errors
+/// ```
+/// use edc_bench::sweep::{store_into, Sweep};
+/// use edc_core::experiment::ExperimentSpec;
+/// use edc_core::scenarios::{SourceKind, StrategyKind};
+/// use edc_store::Store;
+/// use edc_units::Seconds;
+/// use edc_workloads::WorkloadKind;
 ///
-/// Returns the first (by input order) [`BuildError`].
-pub fn run_specs_in(
-    specs: Vec<ExperimentSpec>,
-    threads: usize,
-    catalog: &TraceCatalog,
-) -> Result<Vec<SweepRow>, BuildError> {
-    Ok(run_specs_timed_in(specs, threads, catalog)?.rows)
-}
-
-/// Like [`run_specs`], but also measures wall-clock time per cell and for
-/// the whole grid.
+/// let dir = std::env::temp_dir().join("edc-sweep-doc-store");
+/// let _ = std::fs::remove_dir_all(&dir);
+/// let base = ExperimentSpec::new(
+///     SourceKind::Dc { volts: 3.3 },
+///     StrategyKind::Restart,
+///     WorkloadKind::BusyLoop(120),
+/// )
+/// .deadline(Seconds(1.0));
+/// let run = Sweep::over(base)
+///     .strategies(&[StrategyKind::Restart, StrategyKind::Hibernus])
+///     .run_timed()?;
 ///
-/// # Errors
-///
-/// Returns the first (by input order) [`BuildError`]; the whole grid is
-/// validated before any simulation starts.
-pub fn run_specs_timed(specs: Vec<ExperimentSpec>, threads: usize) -> Result<SweepRun, BuildError> {
-    run_specs_timed_in(specs, threads, &TraceCatalog::new())
-}
-
-/// The catalog-threaded primitive under [`run_specs_timed`]: every worker
-/// resolves [`SourceKind::Trace`] entries through the same shared
-/// `catalog`.
-///
-/// # Errors
-///
-/// Returns the first (by input order) [`BuildError`]; the whole grid is
-/// validated (catalog resolution included) before any simulation starts.
-pub fn run_specs_timed_in(
-    specs: Vec<ExperimentSpec>,
-    threads: usize,
-    catalog: &TraceCatalog,
-) -> Result<SweepRun, BuildError> {
-    run_specs_timed_metered(specs, threads, catalog, &edc_metrics::global())
-}
-
-/// Histogram bounds for fan-out batch sizes (cells per `par_map` batch,
-/// nodes per fleet): powers of two out to 256, `+Inf` beyond.
-pub const BATCH_SIZE_BOUNDS: [f64; 9] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0];
-
-/// The registry-threaded primitive under [`run_specs_timed_in`]: records
-/// batch-level sweep counters (batches, cells, the batch-size histogram)
-/// and every cell's runner lifecycle counters into `metrics`, and the
-/// batch's wall-clock total into a quarantined wall gauge. The returned
-/// rows are unchanged — metrics are an aggregate side channel.
-///
-/// # Errors
-///
-/// Returns the first (by input order) [`BuildError`]; the whole grid is
-/// validated (catalog resolution included) before any simulation starts.
-pub fn run_specs_timed_metered(
-    specs: Vec<ExperimentSpec>,
-    threads: usize,
-    catalog: &TraceCatalog,
+/// let store = Store::open(&dir)?.into_handle();
+/// let registry = edc_metrics::Registry::new();
+/// assert_eq!(store_into(&run, &store, &registry)?, 2);
+/// // Storing the same rows again merges instead of appending.
+/// assert_eq!(store_into(&run, &store, &registry)?, 0);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+pub fn store_into(
+    run: &SweepRun,
+    store: &edc_store::StoreHandle,
     metrics: &edc_metrics::Registry,
-) -> Result<SweepRun, BuildError> {
-    for spec in &specs {
-        spec.validate_in(catalog)?;
-    }
-    metrics
-        .counter("edc_sweep_batches", "Spec batches fanned out.", &[])
-        .inc();
-    metrics
-        .counter("edc_sweep_cells", "Grid cells simulated.", &[])
-        .inc_by(specs.len() as u64);
-    metrics
-        .histogram(
-            "edc_sweep_batch_cells",
-            "Cells per fanned-out batch.",
-            &[],
-            &BATCH_SIZE_BOUNDS,
-        )
-        .observe(specs.len() as f64);
-    let started = Instant::now();
-    let results = par_map(&specs, threads, |spec| {
-        let cell_started = Instant::now();
-        let result = spec.run_metered_in(catalog, metrics);
-        (result, cell_started.elapsed().as_secs_f64())
-    });
-    let total_s = started.elapsed().as_secs_f64();
-    metrics
-        .wall_gauge(
-            "edc_sweep_wall_seconds",
-            "Cumulative wall-clock of fanned-out batches (quarantined).",
-            &[],
-        )
-        .add(total_s);
-    let mut per_cell_s = Vec::with_capacity(specs.len());
-    let rows = specs
-        .into_iter()
-        .zip(results)
-        .enumerate()
-        .map(|(index, (spec, (result, elapsed)))| {
-            per_cell_s.push(elapsed);
-            Ok(SweepRow {
-                index,
-                spec,
-                report: result?,
-            })
-        })
-        .collect::<Result<Vec<_>, BuildError>>()?;
-    Ok(SweepRun {
-        rows,
-        timing: SweepTiming {
-            total_s,
-            per_cell_s,
-        },
-    })
-}
-
-/// Deterministic scoped fan-out: workers claim items by index and results
-/// come back in input order, so thread count affects wall-clock only,
-/// never results. The primitive under [`run_specs_timed_in`], kept public
-/// for harnesses whose work items are not experiment specs at all.
-pub fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads.clamp(1, items.len().max(1)) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                *slots[i].lock().expect("result slot poisoned") = Some(f(item));
-            });
+) -> Result<u64, edc_store::StoreError> {
+    let mut appended = 0;
+    let mut guard = store
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    for row in &run.rows {
+        if guard.put(
+            &row.spec.to_json(),
+            row.report.to_json(),
+            std::collections::BTreeMap::new(),
+            1.0,
+        )? {
+            appended += 1;
         }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("every slot is filled before the scope exits")
-        })
-        .collect()
+    }
+    drop(guard);
+    if appended > 0 {
+        metrics
+            .counter(
+                "edc_store_writes",
+                "Simulated evaluations written back to the persistent store, per search phase.",
+                &[("phase", "sweep")],
+            )
+            .inc_by(appended);
+    }
+    Ok(appended)
 }
 
 /// Renders rows as an aligned text table.
@@ -609,92 +328,25 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial_and_is_deterministic() {
-        let sweep = Sweep::over(small_base())
-            .strategies(&[StrategyKind::Restart, StrategyKind::Hibernus])
-            .workloads(&[WorkloadKind::BusyLoop(100), WorkloadKind::Crc16(32)]);
-        let parallel = sweep.clone().threads(4).run().expect("sweep runs");
-        let serial = sweep.threads(1).run().expect("sweep runs");
-        assert_eq!(render_json(&parallel), render_json(&serial));
-        let again = Sweep::over(small_base())
-            .strategies(&[StrategyKind::Restart, StrategyKind::Hibernus])
-            .workloads(&[WorkloadKind::BusyLoop(100), WorkloadKind::Crc16(32)])
-            .threads(3)
-            .run()
-            .expect("sweep runs");
-        assert_eq!(render_json(&parallel), render_json(&again));
-    }
-
-    #[test]
-    fn timed_run_measures_every_cell() {
-        let run = Sweep::over(small_base())
-            .strategies(&[StrategyKind::Restart, StrategyKind::Hibernus])
-            .run_timed()
-            .expect("sweep runs");
-        assert_eq!(run.timing.per_cell_s.len(), run.rows.len());
-        assert!(run.timing.per_cell_s.iter().all(|&s| s > 0.0));
-        assert!(run.timing.total_s > 0.0);
-        let json = run.to_json().to_string();
-        assert!(json.contains("\"timing\""));
-        assert!(json.contains("\"per_cell_s\""));
-    }
-
-    #[test]
-    fn sweep_profile_has_one_span_per_cell_with_deterministic_counters() {
-        let run = || {
-            Sweep::over(small_base())
-                .strategies(&[StrategyKind::Restart, StrategyKind::Hibernus])
-                .run_timed()
-                .expect("sweep runs")
-        };
-        let a = run();
-        let profile = a.profile();
-        assert_eq!(profile.spans().len(), a.rows.len());
-        assert!(profile.spans()[0].name.starts_with("cell0/"));
-        assert!(profile.spans().iter().all(|s| s.wall_s > 0.0));
-        // Counters are a pure function of the grid; wall-clock is not.
-        let b = run();
-        assert_eq!(
-            profile.counters_json().to_string(),
-            b.profile().counters_json().to_string()
-        );
-    }
-
-    #[test]
-    fn stats_telemetry_aggregates_across_cells() {
-        use edc_core::TelemetryKind;
-        let run = Sweep::over(small_base().telemetry(TelemetryKind::Stats))
-            .strategies(&[StrategyKind::Restart, StrategyKind::Hibernus])
-            .run_timed()
-            .expect("sweep runs");
-        let merged = run.aggregate_stats().expect("stats cells present");
-        let per_cell: u64 = run
-            .rows
-            .iter()
-            .filter_map(|r| match &r.report.telemetry {
-                Some(edc_core::TelemetryReport::Stats(s)) => Some(s.counts().boots),
-                _ => None,
-            })
-            .sum();
-        assert_eq!(merged.counts().boots, per_cell);
-        assert!(merged.counts().completions >= 1);
-        // The deterministic section is deterministic; timing is not part
-        // of it.
-        let telemetry = run.telemetry_json().to_string();
-        assert!(!telemetry.contains("per_cell_s"));
-        let again = Sweep::over(small_base().telemetry(TelemetryKind::Stats))
-            .strategies(&[StrategyKind::Restart, StrategyKind::Hibernus])
-            .run_timed()
-            .expect("sweep runs");
-        assert_eq!(telemetry, again.telemetry_json().to_string());
-    }
-
-    #[test]
     fn invalid_grid_point_surfaces_first_error() {
         let err = Sweep::over(small_base().timestep(Seconds(0.0)))
             .run()
             .expect_err("bad timestep");
         assert_eq!(err, BuildError::InvalidTimestep(0.0));
+
+        // A valid grid whose last spec is invalid fails before any cell
+        // simulates: no sweep or runner family reaches the registry.
+        let mut specs = Sweep::over(small_base())
+            .strategies(&[StrategyKind::Restart, StrategyKind::Hibernus])
+            .specs();
+        specs.push(small_base().deadline(Seconds(-1.0)));
+        let registry = edc_metrics::Registry::new();
+        let err = run_specs_timed_metered(specs, 2, &TraceCatalog::new(), &registry)
+            .expect_err("bad deadline");
+        assert_eq!(err, BuildError::InvalidDeadline(-1.0));
+        let exposition = registry.render_text();
+        assert!(!exposition.contains("edc_sweep_"), "{exposition}");
+        assert!(!exposition.contains("edc_runner_"), "{exposition}");
     }
 
     #[test]

@@ -979,7 +979,7 @@ pub struct System<'a> {
 }
 
 impl<'a> System<'a> {
-    /// The underlying transient runner (thresholds, traces, event log...).
+    /// The underlying transient runner (thresholds, traces, telemetry...).
     pub fn runner(&self) -> &TransientRunner<'a> {
         &self.runner
     }

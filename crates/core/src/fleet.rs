@@ -183,7 +183,8 @@ impl FieldSpec {
     /// same name-and-samples pair recalls the existing id). This is what
     /// lets trace-backed fleets expand into ordinary per-node
     /// [`SourceKind::FieldView`] specs and run through the same
-    /// `run_specs` path as synthetic envelopes.
+    /// [`run_specs_timed_metered`](crate::sweep::run_specs_timed_metered)
+    /// path as synthetic envelopes.
     ///
     /// # Errors
     ///

@@ -4,8 +4,9 @@
 //! computing systems** from Section II (Fig. 2) — together with the system
 //! assembly layer that wires the substrate crates (`edc-harvest`,
 //! `edc-power`, `edc-mcu`, `edc-workloads`, `edc-transient`, `edc-neutral`,
-//! `edc-mpsoc`) into runnable experiments, and the canonical scenario
-//! presets behind every figure reproduction.
+//! `edc-mpsoc`) into runnable experiments, the canonical scenario
+//! presets behind every figure reproduction, and the [`sweep`] engine
+//! that fans spec lists out across threads.
 //!
 //! # Examples
 //!
@@ -28,6 +29,7 @@ pub mod experiment;
 pub mod fleet;
 pub mod json;
 pub mod scenarios;
+pub mod sweep;
 pub mod system;
 pub mod taxonomy;
 pub mod telemetry;

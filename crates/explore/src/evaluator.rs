@@ -37,9 +37,9 @@ use std::collections::HashMap;
 use std::collections::HashSet;
 use std::time::Instant;
 
-use edc_bench::sweep::run_specs_timed_metered;
 use edc_core::catalog::TraceCatalog;
 use edc_core::experiment::ExperimentSpec;
+use edc_core::sweep::run_specs_timed_metered;
 use edc_core::TelemetryKind;
 use edc_lint::Linter;
 use edc_obs::{ProfileReport, ProfileSpan};

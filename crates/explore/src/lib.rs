@@ -5,8 +5,8 @@
 //! *co-designed*: storage size, wake/hibernate thresholds and workload
 //! choice trade off against completion time and brownout behaviour. The
 //! rest of the workspace can *run what you specify* (one spec, or a fixed
-//! cartesian [`Sweep`](edc_bench::sweep::Sweep) grid); this crate *finds
-//! the design*:
+//! list on the [`sweep`](edc_core::sweep) engine); this crate *finds the
+//! design*:
 //!
 //! - [`SpecSpace`] — typed axes over [`ExperimentSpec`]: source, workload
 //!   and strategy kinds, decoupling capacitance, timestep, board leakage;

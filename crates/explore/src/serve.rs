@@ -758,6 +758,21 @@ mod tests {
     }
 
     #[test]
+    fn a_deeply_nested_line_answers_an_error_and_the_session_serves_on() {
+        let mut session = ServeSession::new().threads(1);
+        let out = session.handle_line(&"[".repeat(100_000));
+        assert_eq!(out.len(), 1);
+        assert!(out[0].contains(r#""ok":false"#), "{}", out[0]);
+        assert!(
+            out[0].contains("nesting deeper than MAX_DEPTH"),
+            "{}",
+            out[0]
+        );
+        let out = session.serve_text(&evaluate_line(1, &spec()));
+        assert!(out.lines().next().unwrap().contains(r#""ok":true"#));
+    }
+
+    #[test]
     fn lint_and_metrics_ops_answer_in_shape() {
         let mut session = ServeSession::new().threads(1);
         let line = format!(r#"{{"id":1,"op":"lint","spec":{}}}"#, spec().to_json());

@@ -72,10 +72,10 @@
 
 use std::collections::HashMap;
 
-use edc_bench::sweep::{run_specs_timed_metered, BATCH_SIZE_BOUNDS};
 use edc_core::catalog::TraceCatalog;
 use edc_core::fleet::{FleetError, FleetSpec};
 use edc_core::json::Json;
+use edc_core::sweep::{run_specs_timed_metered, BATCH_SIZE_BOUNDS};
 use edc_core::telemetry::{stats_json, TelemetryReport};
 use edc_core::SystemReport;
 use edc_obs::ProfileReport;
@@ -166,7 +166,7 @@ impl Fleet {
 
     /// Like [`Fleet::run`], additionally yielding a wall-clock profile:
     /// one [`ProfileSpan`](edc_obs::ProfileSpan) per *simulated* node (via
-    /// [`SweepRun::profile`](edc_bench::sweep::SweepRun::profile)) — with
+    /// [`ProfileReport::from_sweep`]) — with
     /// [`Fleet::dedup`] on, nodes served by cloning an identical bucket's
     /// report record no span. Span counters are deterministic lifecycle
     /// counts; `wall_s` is that node's real simulation time — quarantined
@@ -233,7 +233,7 @@ impl Fleet {
             .inc_by((assignment.len() - unique.len()) as u64);
         let run = run_specs_timed_metered(unique, threads, &catalog, &registry)
             .map_err(FleetError::Design)?;
-        let profile = run.profile();
+        let profile = ProfileReport::from_sweep(&run);
         let bucket_reports: Vec<SystemReport> =
             run.rows.into_iter().map(|row| row.report).collect();
         let nodes: Vec<SystemReport> = assignment

@@ -9,6 +9,7 @@
 //! `SweepRun.timing`, for logs and local inspection only.
 
 use edc_core::json::Json;
+use edc_core::sweep::SweepRun;
 
 /// One profiled region: a name, deterministic counters, and a quarantined
 /// wall-clock reading.
@@ -126,6 +127,27 @@ impl ProfileReport {
     /// ```
     pub fn push(&mut self, span: ProfileSpan) {
         self.spans.push(span);
+    }
+
+    /// A sweep as a per-cell profile: one span per grid row, named
+    /// `cell{index}/{label}`, carrying deterministic run counters (boots,
+    /// brownouts, snapshots, restores, retired cycles) and the cell's
+    /// quarantined wall-clock reading.
+    pub fn from_sweep(run: &SweepRun) -> Self {
+        let mut profile = Self::new();
+        for (row, &wall_s) in run.rows.iter().zip(&run.timing.per_cell_s) {
+            let s = &row.report.stats;
+            profile.push(
+                ProfileSpan::new(format!("cell{}/{}", row.index, row.spec.label()))
+                    .counter("boots", s.boots as f64)
+                    .counter("brownouts", s.brownouts as f64)
+                    .counter("snapshots", s.snapshots as f64)
+                    .counter("restores", s.restores as f64)
+                    .counter("cycles", s.cycles as f64)
+                    .wall(wall_s),
+            );
+        }
+        profile
     }
 
     /// The recorded spans, in insertion order.
@@ -293,6 +315,43 @@ mod tests {
             slow.timing_json().to_string()
         );
         assert!(!fast.counters_json().to_string().contains("wall"));
+    }
+
+    #[test]
+    fn sweep_profile_has_one_span_per_cell_with_deterministic_counters() {
+        use edc_core::experiment::ExperimentSpec;
+        use edc_core::scenarios::{SourceKind, StrategyKind};
+        use edc_units::Seconds;
+        use edc_workloads::WorkloadKind;
+
+        let base = ExperimentSpec::new(
+            SourceKind::Dc { volts: 3.3 },
+            StrategyKind::Restart,
+            WorkloadKind::BusyLoop(200),
+        )
+        .deadline(Seconds(1.0));
+        let run = || {
+            let specs = vec![base, base.strategy(StrategyKind::Hibernus)];
+            let registry = edc_metrics::Registry::new();
+            edc_core::sweep::run_specs_timed_metered(
+                specs,
+                2,
+                &edc_core::TraceCatalog::new(),
+                &registry,
+            )
+            .expect("sweep runs")
+        };
+        let a = run();
+        let profile = ProfileReport::from_sweep(&a);
+        assert_eq!(profile.spans().len(), a.rows.len());
+        assert!(profile.spans()[0].name.starts_with("cell0/"));
+        assert!(profile.spans().iter().all(|s| s.wall_s > 0.0));
+        // Counters are a pure function of the grid; wall-clock is not.
+        let b = run();
+        assert_eq!(
+            profile.counters_json().to_string(),
+            ProfileReport::from_sweep(&b).counters_json().to_string()
+        );
     }
 
     #[test]

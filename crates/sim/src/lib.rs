@@ -5,8 +5,8 @@
 //! charged by a harvester and discharged by a computational load. Figures 7
 //! and 8 of the paper are literally plots of this node's voltage. This crate
 //! provides that node ([`SupplyNode`]), a deterministic clock
-//! ([`Timeline`]), and the recording types ([`TimeSeries`], [`EventLog`])
-//! the figure-regeneration harnesses use.
+//! ([`Timeline`]), and the recording type ([`TimeSeries`]) the
+//! figure-regeneration harnesses use.
 //!
 //! Integration is explicit forward Euler on the charge balance
 //! `dV/dt = (I_in − I_load − V/R_leak) / C`, which is accurate for the
@@ -32,8 +32,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-use std::fmt;
 
 use edc_units::{Amps, Coulombs, Farads, Joules, Ohms, Seconds, Volts, Watts};
 
@@ -429,69 +427,6 @@ pub enum CrossingDirection {
     Either,
 }
 
-/// A timestamped log of domain events (snapshots, restores, brownouts …).
-#[derive(Debug, Clone)]
-pub struct EventLog<E> {
-    events: Vec<(Seconds, E)>,
-}
-
-impl<E> EventLog<E> {
-    /// Creates an empty log.
-    pub fn new() -> Self {
-        Self { events: Vec::new() }
-    }
-
-    /// Appends an event at time `t`.
-    pub fn push(&mut self, t: Seconds, event: E) {
-        self.events.push((t, event));
-    }
-
-    /// All recorded `(time, event)` pairs in insertion order.
-    pub fn events(&self) -> &[(Seconds, E)] {
-        &self.events
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// `true` when no events have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Iterates over events matching a predicate.
-    pub fn filtered<'a>(
-        &'a self,
-        mut pred: impl FnMut(&E) -> bool + 'a,
-    ) -> impl Iterator<Item = &'a (Seconds, E)> + 'a {
-        self.events.iter().filter(move |(_, e)| pred(e))
-    }
-
-    /// Counts events matching a predicate.
-    pub fn count(&self, mut pred: impl FnMut(&E) -> bool) -> usize {
-        self.events.iter().filter(|(_, e)| pred(e)).count()
-    }
-}
-
-impl<E> Default for EventLog<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E: fmt::Display> EventLog<E> {
-    /// Renders the log as human-readable lines.
-    pub fn to_lines(&self) -> String {
-        let mut s = String::new();
-        for (t, e) in &self.events {
-            s.push_str(&format!("[{:>10.6} s] {}\n", t.0, e));
-        }
-        s
-    }
-}
-
 /// Running energy/power integrator: accumulates `P·dt` and reports averages.
 ///
 /// Used by the energy-neutrality audit (Eq. 1) and by metrics collection.
@@ -670,19 +605,6 @@ mod tests {
         let tsv = ts.to_tsv();
         assert!(tsv.starts_with("# vcc\n"));
         assert!(tsv.contains("0.500000\t3.300000"));
-    }
-
-    #[test]
-    fn event_log_filter_and_count() {
-        let mut log = EventLog::new();
-        log.push(Seconds(0.1), "snapshot");
-        log.push(Seconds(0.2), "restore");
-        log.push(Seconds(0.3), "snapshot");
-        assert_eq!(log.len(), 3);
-        assert_eq!(log.count(|e| *e == "snapshot"), 2);
-        let restores: Vec<_> = log.filtered(|e| *e == "restore").collect();
-        assert_eq!(restores.len(), 1);
-        assert!(log.to_lines().contains("snapshot"));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! are values not panics, parallel sweeps are deterministic and match
 //! serial execution, and reports round-trip through JSON.
 
-use edc_bench::sweep::{render_json, render_text, run_specs, Sweep};
+use edc_bench::sweep::{render_json, render_text, Sweep};
 use energy_driven::core::experiment::{BuildError, Experiment, ExperimentSpec};
 use energy_driven::core::json::Json;
 use energy_driven::core::scenarios::{SourceKind, StrategyKind};
@@ -114,7 +114,7 @@ fn full_strategy_sweep_is_deterministic_and_matches_serial() {
 
     let parallel_a = sweep.clone().run().expect("grid assembles");
     let parallel_b = sweep.clone().threads(5).run().expect("grid assembles");
-    let serial = run_specs(sweep.specs(), 1).expect("grid assembles");
+    let serial = sweep.clone().threads(1).run().expect("grid assembles");
 
     assert_eq!(parallel_a.len(), StrategyKind::ALL.len() * 2);
     let json_a = render_json(&parallel_a);

@@ -7,7 +7,9 @@
 
 use energy_driven::core::experiment::ExperimentSpec;
 use energy_driven::core::scenarios::{SourceKind, StrategyKind};
-use energy_driven::transient::{RunOutcome, TransientEvent};
+use energy_driven::core::{TelemetryKind, TelemetryReport};
+use energy_driven::telemetry::Phase;
+use energy_driven::transient::RunOutcome;
 use energy_driven::units::{Ohms, Seconds};
 use energy_driven::workloads::WorkloadKind;
 
@@ -20,6 +22,7 @@ fn fft_completes_in_third_supply_cycle_with_one_snapshot_per_dip() {
         WorkloadKind::Fourier(256),
     )
     .leakage(Ohms(100_000.0))
+    .telemetry(TelemetryKind::Timeline)
     .build()
     .expect("the Fig. 7 spec assembles");
 
@@ -28,15 +31,20 @@ fn fft_completes_in_third_supply_cycle_with_one_snapshot_per_dip() {
     assert_eq!(report.strategy, "hibernus");
     assert_eq!(report.workload, "fourier");
 
-    let completed_cycle =
-        (report.stats.completed_at.expect("completed").0 * supply_hz).floor() as u64 + 1;
+    let completed_at = report.stats.completed_at.expect("completed");
+    let completed_cycle = (completed_at.0 * supply_hz).floor() as u64 + 1;
     assert_eq!(completed_cycle, 3, "paper: FFT completes in the 3rd cycle");
 
-    // Exactly one snapshot per supply failure, none torn.
-    let hibernations = system
-        .runner()
-        .log()
-        .count(|e| matches!(e, TransientEvent::Hibernate));
+    // Exactly one snapshot per supply failure, none torn. A hibernation
+    // is a sleep phase entered before completion (which sleeps too).
+    let Some(TelemetryReport::Timeline(timeline)) = &report.telemetry else {
+        panic!("timeline telemetry was requested");
+    };
+    let hibernations = timeline
+        .phases()
+        .iter()
+        .filter(|p| p.phase == Phase::Sleep && p.t < completed_at)
+        .count();
     assert_eq!(report.stats.snapshots, hibernations as u64);
     assert_eq!(report.stats.torn_snapshots, 0);
     assert_eq!(
