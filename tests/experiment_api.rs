@@ -3,11 +3,16 @@
 //! serial execution, and reports round-trip through JSON.
 
 use edc_bench::sweep::{render_json, render_text, Sweep};
+use energy_driven::core::catalog::TraceCatalog;
 use energy_driven::core::experiment::{BuildError, Experiment, ExperimentSpec};
+use energy_driven::core::fleet::{FieldSpec, FleetError, FleetSpec};
 use energy_driven::core::json::Json;
-use energy_driven::core::scenarios::{SourceKind, StrategyKind};
+use energy_driven::core::scenarios::{FieldEnvelope, SourceKind, StrategyKind};
+use energy_driven::core::sweep::run_specs_timed_metered;
 use energy_driven::core::system::Topology;
+use energy_driven::explore::{ExploreError, ServeSession, SpecSpace};
 use energy_driven::harvest::DcSupply;
+use energy_driven::metrics::Registry;
 use energy_driven::units::{Farads, Seconds, Volts};
 use energy_driven::workloads::WorkloadKind;
 
@@ -94,6 +99,68 @@ fn invalid_kind_parameters_are_errors_not_panics() {
         .run()
         .expect_err("invalid grid point");
     assert!(matches!(err, BuildError::InvalidWorkload(_)));
+}
+
+/// The deadline is a spec rule like any other: a spec whose only fault is
+/// its deadline is rejected up front, with the same error value, by every
+/// entry point that takes a spec — not only by the ones that run it.
+#[test]
+fn a_bad_deadline_alone_is_rejected_by_every_entry_point() {
+    for deadline in [0.0, -1.0, f64::NAN] {
+        let spec = ExperimentSpec::new(
+            SourceKind::Dc { volts: 3.3 },
+            StrategyKind::Restart,
+            WorkloadKind::BusyLoop(100),
+        )
+        .deadline(Seconds(deadline));
+        let catalog = TraceCatalog::new();
+        // `InvalidDeadline(NaN) != InvalidDeadline(NaN)`, so compare bits.
+        let is_deadline = |e: Option<BuildError>, entry: &str| match e {
+            Some(BuildError::InvalidDeadline(d)) if d.to_bits() == deadline.to_bits() => {}
+            other => panic!("{entry} with deadline {deadline}: got {other:?}"),
+        };
+        is_deadline(spec.validate().err(), "validate");
+        is_deadline(spec.validate_in(&catalog).err(), "validate_in");
+        is_deadline(spec.build().err(), "build");
+        is_deadline(spec.build_in(&catalog).err(), "build_in");
+        is_deadline(spec.run().err(), "run");
+        is_deadline(spec.run_in(&catalog).err(), "run_in");
+        is_deadline(
+            spec.run_metered_in(&catalog, &Registry::new()).err(),
+            "run_metered_in",
+        );
+        is_deadline(
+            Experiment::from_spec(&spec).run(spec.deadline).err(),
+            "Experiment::run",
+        );
+        is_deadline(
+            run_specs_timed_metered(vec![spec], 1, &catalog, &Registry::new()).err(),
+            "run_specs_timed_metered",
+        );
+        match SpecSpace::over(spec).validate() {
+            Err(ExploreError::Build(e)) => is_deadline(Some(e), "SpecSpace::validate"),
+            other => panic!("SpecSpace::validate with deadline {deadline}: got {other:?}"),
+        }
+        let fleet = FleetSpec::new(
+            FieldSpec::Envelope(FieldEnvelope::RectifiedSine { hz: 50.0 }),
+            spec,
+            2,
+        );
+        match fleet.validate() {
+            Err(FleetError::Design(e)) => is_deadline(Some(e), "FleetSpec::validate"),
+            other => panic!("FleetSpec::validate with deadline {deadline}: got {other:?}"),
+        }
+        // JSON has no NaN, so the served op is checked on the finite cases.
+        if deadline.is_finite() {
+            let request = format!(r#"{{"op":"evaluate","id":1,"spec":{}}}"#, spec.to_json());
+            let out = ServeSession::new().serve_text(&request);
+            let message = BuildError::InvalidDeadline(deadline).to_string();
+            assert!(
+                out.contains(r#""ok":false"#) && out.contains(&message),
+                "serve evaluate with deadline {deadline}: {out}"
+            );
+        }
+    }
 }
 
 /// The full `StrategyKind::ALL × workloads` grid: parallel execution must

@@ -10,15 +10,18 @@
 //! 3. An `edc-explore` searcher answers a fleet sizing question
 //!    end-to-end through a `FleetObjective`, deterministically.
 
+use proptest::prelude::*;
+
 use energy_driven::core::experiment::ExperimentSpec;
 use energy_driven::core::fleet::{FieldSpec, FleetSpec, Placement};
 use energy_driven::core::scenarios::{FieldEnvelope, SourceKind, StrategyKind};
+use energy_driven::core::system::Topology;
 use energy_driven::core::TelemetryKind;
 use energy_driven::explore::{
     ExhaustiveGrid, Explorer, FleetCoverageShortfall, FleetNodesToCover, FleetTemplate, SpecSpace,
 };
 use energy_driven::fleet::Fleet;
-use energy_driven::units::{Farads, Seconds};
+use energy_driven::units::{Farads, Ohms, Seconds};
 use energy_driven::workloads::WorkloadKind;
 
 /// A fast per-node design: coarse timestep, small workload, short deadline.
@@ -204,6 +207,78 @@ fn fleet_spec_json_round_trips_through_the_parser() {
             Json::parse(&json).expect("valid JSON").to_string(),
             json,
             "parse → emit round-trips byte-identically"
+        );
+    }
+}
+
+/// One fault (or none, at index 0) applied to a per-node design.
+fn mutate_design(design: ExperimentSpec, fault: usize) -> ExperimentSpec {
+    match fault {
+        1 => design.timestep(Seconds(0.0)),
+        2 => design.decoupling(Farads(-1.0)),
+        3 => design.workload(WorkloadKind::Crc16(0)),
+        4 => design.topology(Topology::Buffered {
+            storage: Farads(f64::NAN),
+            efficiency: 1.5,
+        }),
+        5 => design.leakage(Ohms(0.0)),
+        6 => design.trace(0),
+        7 => design.deadline(Seconds(0.0)),
+        8 => design.deadline(Seconds(f64::NAN)),
+        _ => design,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 512,
+        ..ProptestConfig::default()
+    })]
+
+    /// `validate` reports exactly the first entry of the collect-all
+    /// `violations` list, whatever mix of fleet-level and design faults a
+    /// spec carries. Compared through `Debug`, since NaN payloads are
+    /// never `==` themselves.
+    #[test]
+    fn fleet_validate_is_the_first_violation(
+        nodes in 0usize..4,
+        stagger in 0usize..3,
+        duty in 0usize..3,
+        placement in 0usize..6,
+        field in 0usize..6,
+        faults in (0usize..9, 0usize..9),
+    ) {
+        let stagger = [0.0, 0.01, -1.0][stagger];
+        let duty = [1.0, 0.0, f64::INFINITY][duty];
+        let placement = match placement {
+            0 => Placement::Colocated,
+            1 => Placement::Line { near: 1.0, far: 0.5 },
+            2 => Placement::Line { near: 1.0, far: 0.0 },
+            3 => Placement::Explicit(vec![0.5; nodes]),
+            4 => Placement::Explicit(vec![0.5; nodes.saturating_sub(1)]),
+            _ => Placement::Explicit(vec![1.5; nodes + 1]),
+        };
+        let trace = |samples: Vec<(f64, f64)>| FieldSpec::PowerTrace {
+            name: "site".into(),
+            samples,
+            looping: true,
+        };
+        let field = match field {
+            0 => FieldSpec::Envelope(FieldEnvelope::RectifiedSine { hz: 50.0 }),
+            1 => FieldSpec::Envelope(FieldEnvelope::RectifiedSine { hz: -4.0 }),
+            2 => trace(vec![(0.0, 1e-3), (1.0, 3e-3)]),
+            3 => trace(vec![(0.0, 1e-3)]),
+            4 => trace(vec![(0.0, 1e-3), (0.0, 3e-3)]),
+            _ => trace(vec![(0.0, 1e-3), (f64::NAN, 3e-3)]),
+        };
+        let design = mutate_design(mutate_design(design(), faults.0), faults.1);
+        let fleet = FleetSpec::new(field, design, nodes)
+            .placement(placement)
+            .stagger(Seconds(stagger))
+            .duty_period(Seconds(duty));
+        prop_assert_eq!(
+            format!("{:?}", fleet.validate().err()),
+            format!("{:?}", fleet.violations().first())
         );
     }
 }
