@@ -38,34 +38,7 @@ use edc_explore::{
 use edc_units::{Joules, Seconds, Volts};
 use edc_workloads::WorkloadKind;
 
-/// The two deterministic synthetic "recordings". Offline stand-ins for
-/// the paper's published traces (DOI 10.5258/SOTON/404058), generated
-/// rather than downloaded, so the artifact stays reproducible.
-fn catalog() -> TraceCatalog {
-    let mut catalog = TraceCatalog::new();
-    // One rectified mains cycle of harvested power, 1 ms sampling.
-    let mains: Vec<(f64, f64)> = (0..20)
-        .map(|i| {
-            let phase = (i as f64 / 20.0) * std::f64::consts::TAU;
-            (i as f64 * 1e-3, 8e-3 * phase.sin().max(0.0))
-        })
-        .collect();
-    catalog
-        .register("mains-cycle", mains)
-        .expect("valid recording");
-    // A bursty office profile: strong bursts with weak troughs, 2 ms
-    // sampling — the duty pattern that separates eager from lazy
-    // checkpoint strategies.
-    let bursty: Vec<(f64, f64)> = (0..16)
-        .map(|i| (i as f64 * 2e-3, if i % 4 < 2 { 6e-3 } else { 0.5e-3 }))
-        .collect();
-    catalog
-        .register("bursty-office", bursty)
-        .expect("valid recording");
-    catalog
-}
-
-/// The benchmark space: (2 recordings × 2 decimation levels) × all 7
+/// The benchmark space over [`edc_bench::recordings`]: (2 recordings × 2 decimation levels) × all 7
 /// strategies × 2 sizing-seeded capacitances = 56 designs.
 fn space(catalog: &TraceCatalog) -> SpecSpace {
     let sources: Vec<SourceKind> = catalog
@@ -139,7 +112,7 @@ fn front_table(report: &ExploreReport) -> String {
 fn main() {
     let args = edc_bench::bench_args("BENCH_trace.json");
     let path = args.path.clone();
-    let catalog = catalog();
+    let catalog = edc_bench::recordings();
     let space = space(&catalog);
     let mut explorer = Explorer::new()
         .objective(CompletionTime)

@@ -15,7 +15,14 @@ pub use diff::{diff_artifacts, DiffReport, Policy, Rule};
 
 use std::fmt::Display;
 
+use edc_core::catalog::TraceCatalog;
+use edc_core::experiment::ExperimentSpec;
 use edc_core::json::Json;
+use edc_core::scenarios::{SourceKind, StrategyKind};
+use edc_explore::seed::sizing_seeded_decoupling_axis;
+use edc_explore::SpecSpace;
+use edc_units::{Joules, Seconds, Volts};
+use edc_workloads::WorkloadKind;
 
 /// Version of the BENCH artifact envelope written by [`artifact`]. Bump it
 /// whenever the meaning or layout of a shared section changes, so
@@ -205,6 +212,72 @@ pub fn write_artifact(path: &str, artifact: &Json) {
             std::process::exit(1);
         }
     }
+}
+
+/// The two deterministic synthetic "recordings" the trace-backed BENCH
+/// producers search over: one rectified mains cycle (1 ms sampling) and a
+/// bursty office profile (strong bursts, weak troughs, 2 ms sampling —
+/// the duty pattern that separates eager from lazy checkpoint
+/// strategies). Offline stand-ins for the paper's published traces (DOI
+/// 10.5258/SOTON/404058), generated rather than downloaded, so the
+/// artifacts stay reproducible.
+pub fn recordings() -> TraceCatalog {
+    let mut catalog = TraceCatalog::new();
+    let mains: Vec<(f64, f64)> = (0..20)
+        .map(|i| {
+            let phase = (i as f64 / 20.0) * std::f64::consts::TAU;
+            (i as f64 * 1e-3, 8e-3 * phase.sin().max(0.0))
+        })
+        .collect();
+    catalog
+        .register("mains-cycle", mains)
+        .expect("valid recording");
+    let bursty: Vec<(f64, f64)> = (0..16)
+        .map(|i| (i as f64 * 2e-3, if i % 4 < 2 { 6e-3 } else { 0.5e-3 }))
+        .collect();
+    catalog
+        .register("bursty-office", bursty)
+        .expect("valid recording");
+    catalog
+}
+
+/// `bench_trace`'s space over [`recordings`], extended along two axes
+/// with statically infeasible designs: non-looped trace playback (the
+/// 19 ms mains recording ends on a 0 W sample held for the remaining
+/// ~4 s → `E004`) and the `endless` workload (→ `E005`). (2 recordings ×
+/// 2 decimations × 2 loop modes) × 2 workloads × 7 strategies × 2
+/// capacitances = 224 designs, a large fraction of them provably dead
+/// weight. Shared by `bench_lint`, `bench_bound` and `bench_store`.
+pub fn dead_weight_space(catalog: &TraceCatalog) -> SpecSpace {
+    let sources: Vec<SourceKind> = catalog
+        .ids()
+        .into_iter()
+        .flat_map(|id| {
+            [1u64, 4].into_iter().flat_map(move |decimate| {
+                [true, false]
+                    .into_iter()
+                    .map(move |looped| SourceKind::Trace {
+                        id,
+                        decimate,
+                        looped,
+                    })
+            })
+        })
+        .collect();
+    let decoupling =
+        sizing_seeded_decoupling_axis(Joules::from_micro(5.0), Volts(2.0), Volts(3.6), 0.1, 8.0, 2)
+            .expect("canonical rails are valid");
+    let base = ExperimentSpec::new(
+        sources[0],
+        StrategyKind::Hibernus,
+        WorkloadKind::Fourier(256),
+    )
+    .deadline(Seconds(4.0));
+    SpecSpace::over(base)
+        .sources(&sources)
+        .workloads(&[WorkloadKind::Fourier(256), WorkloadKind::Endless])
+        .strategies(&StrategyKind::ALL)
+        .decoupling(&decoupling)
 }
 
 /// A minimal aligned-text table builder for harness output.

@@ -288,7 +288,7 @@ impl BoundReport {
 
 /// The interval engine. Holds the trace catalog specs resolve against, a
 /// memo of workload cycle demands (the one genuinely expensive input) and
-/// a per-spec memo of finished bound reports.
+/// a per-spec memo of derived dynamics facts.
 ///
 /// ```
 /// use edc_bound::Bounder;
@@ -311,7 +311,7 @@ impl BoundReport {
 pub struct Bounder {
     catalog: TraceCatalog,
     cycle_memo: HashMap<WorkloadKind, u64>,
-    memo: HashMap<String, Option<BoundReport>>,
+    memo: HashMap<String, Option<DynamicsFacts>>,
 }
 
 /// The catalog-independent memo state of a [`Bounder`], so a caller that
@@ -374,7 +374,19 @@ impl Bounder {
 
     /// Derives the closed-form dynamics facts for `spec`, or `None` when
     /// the spec fails validation (no component can be instantiated).
+    /// Results are memoized per spec (keyed by its canonical JSON), so the
+    /// linter and [`Bounder::bound_spec`] share one supply scan.
     pub fn facts(&mut self, spec: &ExperimentSpec) -> Option<DynamicsFacts> {
+        let key = spec.to_json().to_string();
+        if let Some(facts) = self.memo.get(&key) {
+            return facts.clone();
+        }
+        let facts = self.derive_facts(spec);
+        self.memo.insert(key, facts.clone());
+        facts
+    }
+
+    fn derive_facts(&mut self, spec: &ExperimentSpec) -> Option<DynamicsFacts> {
         if !spec.violations_in(&self.catalog).is_empty() {
             return None;
         }
@@ -446,17 +458,11 @@ impl Bounder {
     }
 
     /// Brackets every built-in objective for `spec`, or `None` when the
-    /// spec fails validation. Results are memoized per spec (keyed by its
-    /// canonical JSON), so scoring several objectives of one candidate
+    /// spec fails validation. Derived from the memoized
+    /// [`Bounder::facts`], so scoring several objectives of one candidate
     /// costs one analysis.
     pub fn bound_spec(&mut self, spec: &ExperimentSpec) -> Option<BoundReport> {
-        let key = spec.to_json().to_string();
-        if let Some(report) = self.memo.get(&key) {
-            return report.clone();
-        }
-        let report = self.facts(spec).map(|facts| bound_from_facts(spec, &facts));
-        self.memo.insert(key, report.clone());
-        report
+        self.facts(spec).map(|facts| bound_from_facts(spec, &facts))
     }
 
     /// The shared supply scan: per-tick energy and rail upper bounds over

@@ -72,20 +72,32 @@ pub enum TraceError {
     MalformedJson(&'static str),
 }
 
+impl TraceError {
+    /// The fixed text of a sample fault ([`validate_samples`]'s errors);
+    /// the other variants carry data, so they name their kind only.
+    pub(crate) fn reason(&self) -> &'static str {
+        match self {
+            TraceError::TooShort => "a trace needs at least two samples",
+            TraceError::NonMonotonic => "trace times must be strictly increasing",
+            TraceError::NonFinite => "trace samples must be finite",
+            TraceError::NameTaken(_) => "trace name already registered",
+            TraceError::Full => "trace catalog is full",
+            TraceError::MalformedJson(_) => "malformed catalog JSON",
+        }
+    }
+}
+
 impl fmt::Display for TraceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TraceError::TooShort => f.write_str("a trace needs at least two samples"),
-            TraceError::NonMonotonic => f.write_str("trace times must be strictly increasing"),
-            TraceError::NonFinite => f.write_str("trace samples must be finite"),
             TraceError::NameTaken(name) => {
                 write!(
                     f,
                     "trace '{name}' already registered with different samples"
                 )
             }
-            TraceError::Full => f.write_str("trace catalog is full"),
             TraceError::MalformedJson(why) => write!(f, "malformed catalog JSON: {why}"),
+            _ => f.write_str(self.reason()),
         }
     }
 }
@@ -131,8 +143,9 @@ struct TraceEntry {
     hash: u64,
 }
 
-/// The checks every registration path applies to a candidate series.
-fn validate_samples(samples: &[(f64, f64)]) -> Result<(), TraceError> {
+/// The checks every registration path (and a fleet's recorded field)
+/// applies to a candidate series.
+pub(crate) fn validate_samples(samples: &[(f64, f64)]) -> Result<(), TraceError> {
     if samples.len() < 2 {
         return Err(TraceError::TooShort);
     }

@@ -46,7 +46,7 @@ use edc_workloads::{VerifyError, Workload, WorkloadKind};
 
 use crate::catalog::TraceCatalog;
 use crate::scenarios::{SourceKind, StrategyKind};
-use crate::system::{adapt_source, SystemReport, Topology};
+use crate::system::{adapt_source, valid_efficiency, SystemReport, Topology};
 use crate::telemetry::TelemetryReport;
 
 /// Why an experiment could not be assembled.
@@ -243,15 +243,16 @@ impl ExperimentSpec {
         )
     }
 
-    /// Checks every parameter of the spec — kind registries included —
-    /// without instantiating anything. `build`/`run` call this first, so a
+    /// Checks every rule of the spec — kind registries and the deadline
+    /// included — without instantiating anything: the first entry of
+    /// [`ExperimentSpec::violations`]. `build`/`run` call this first, so a
     /// bad spec is always an `Err`, never a downstream constructor panic.
     ///
     /// # Errors
     ///
-    /// Returns the first violated constraint.
+    /// Returns the first violated rule.
     pub fn validate(&self) -> Result<(), BuildError> {
-        self.validate_source(None)
+        first(self.violations())
     }
 
     /// [`ExperimentSpec::validate`], plus resolution of trace-backed
@@ -260,29 +261,15 @@ impl ExperimentSpec {
     ///
     /// # Errors
     ///
-    /// Returns the first violated constraint.
+    /// Returns the first violated rule.
     pub fn validate_in(&self, catalog: &TraceCatalog) -> Result<(), BuildError> {
-        self.validate_source(Some(catalog))
+        first(self.violations_in(catalog))
     }
 
-    fn validate_source(&self, catalog: Option<&TraceCatalog>) -> Result<(), BuildError> {
-        // `validate` historically ignores the deadline (it only gates
-        // `run`), so the first-error path filters it back out of the
-        // collect-all list.
-        match self
-            .collect_violations(catalog)
-            .into_iter()
-            .find(|e| !matches!(e, BuildError::InvalidDeadline(_)))
-        {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Every violated constraint in the spec, in field order — the
-    /// collect-all companion to [`ExperimentSpec::validate`]. Unlike
-    /// `validate`, the deadline is checked too (last), so a lint pass over
-    /// a spec sees the full picture in one call.
+    /// Every violated rule in the spec, in field order — the collect-all
+    /// form of [`ExperimentSpec::validate`]. The deadline is a rule like
+    /// any other (the last), so a lint pass over a spec sees the full
+    /// picture in one call.
     pub fn violations(&self) -> Vec<BuildError> {
         self.collect_violations(None)
     }
@@ -293,6 +280,7 @@ impl ExperimentSpec {
         self.collect_violations(Some(catalog))
     }
 
+    /// The spec's rule list: the kind registries, then the scalar fields.
     fn collect_violations(&self, catalog: Option<&TraceCatalog>) -> Vec<BuildError> {
         let mut out = Vec::new();
         if let Err(e) = match catalog {
@@ -304,38 +292,16 @@ impl ExperimentSpec {
         if let Err(e) = self.workload.validate() {
             out.push(BuildError::InvalidWorkload(e));
         }
-        if !(self.timestep.0 > 0.0 && self.timestep.0.is_finite()) {
-            out.push(BuildError::InvalidTimestep(self.timestep.0));
+        Scalars {
+            timestep: self.timestep,
+            decoupling: self.decoupling,
+            topology: self.topology,
+            leakage: self.leakage,
+            trace: self.trace,
+            telemetry: self.telemetry,
+            deadline: Some(self.deadline),
         }
-        if !(self.decoupling.0 > 0.0 && self.decoupling.0.is_finite()) {
-            out.push(BuildError::InvalidDecoupling(self.decoupling.0));
-        }
-        if let Topology::Buffered {
-            storage,
-            efficiency,
-        } = self.topology
-        {
-            if !(storage.0 >= 0.0 && storage.0.is_finite()) {
-                out.push(BuildError::InvalidStorage(storage.0));
-            }
-            if !(efficiency > 0.0 && efficiency <= 1.0) {
-                out.push(BuildError::InvalidEfficiency(efficiency));
-            }
-        }
-        if let Some(r) = self.leakage {
-            if !(r.0 > 0.0 && r.0.is_finite()) {
-                out.push(BuildError::InvalidLeakage(r.0));
-            }
-        }
-        if self.trace == Some(0) {
-            out.push(BuildError::InvalidTrace);
-        }
-        if let Err(e) = self.telemetry.validate() {
-            out.push(BuildError::InvalidTelemetry(e));
-        }
-        if !(self.deadline.0 > 0.0 && self.deadline.0.is_finite()) {
-            out.push(BuildError::InvalidDeadline(self.deadline.0));
-        }
+        .push_violations(&mut out);
         out
     }
 
@@ -346,8 +312,10 @@ impl ExperimentSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError`] for invalid parameters (the spec always names
-    /// all components, so the `Missing*` variants cannot occur here).
+    /// Returns the first violated rule, as [`ExperimentSpec::validate`]
+    /// does — the deadline included, although building does not run it
+    /// (the spec always names all components, so the `Missing*` variants
+    /// cannot occur here).
     pub fn build(&self) -> Result<System<'static>, BuildError> {
         self.build_in(&TraceCatalog::new())
     }
@@ -368,22 +336,22 @@ impl ExperimentSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError`] if assembly fails or the deadline is invalid.
+    /// Returns the first violated rule, as [`ExperimentSpec::validate`]
+    /// does — the deadline included.
     pub fn run(&self) -> Result<SystemReport, BuildError> {
         self.run_in(&TraceCatalog::new())
     }
 
     /// Like [`ExperimentSpec::run`], resolving trace-backed sources
-    /// through `catalog`.
+    /// through `catalog`: [`ExperimentSpec::run_metered_in`] against the
+    /// process-global metrics registry.
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError`] if assembly fails or the deadline is invalid.
+    /// Returns the first violated rule, as [`ExperimentSpec::validate_in`]
+    /// does — the deadline included.
     pub fn run_in(&self, catalog: &TraceCatalog) -> Result<SystemReport, BuildError> {
-        if !(self.deadline.0 > 0.0 && self.deadline.0.is_finite()) {
-            return Err(BuildError::InvalidDeadline(self.deadline.0));
-        }
-        Ok(self.build_in(catalog)?.run(self.deadline))
+        self.run_metered_in(catalog, &edc_metrics::global())
     }
 
     /// Like [`ExperimentSpec::run_in`], recording runner lifecycle
@@ -393,15 +361,13 @@ impl ExperimentSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError`] if assembly fails or the deadline is invalid.
+    /// Returns the first violated rule, as [`ExperimentSpec::validate_in`]
+    /// does — the deadline included.
     pub fn run_metered_in(
         &self,
         catalog: &TraceCatalog,
         metrics: &edc_metrics::Registry,
     ) -> Result<SystemReport, BuildError> {
-        if !(self.deadline.0 > 0.0 && self.deadline.0.is_finite()) {
-            return Err(BuildError::InvalidDeadline(self.deadline.0));
-        }
         let mut system = self.build_in(catalog)?;
         system.set_metrics(metrics.clone());
         Ok(system.run(self.deadline))
@@ -565,6 +531,64 @@ impl ExperimentSpec {
             telemetry,
         })
     }
+}
+
+/// The scalar fields an [`ExperimentSpec`] and a boxed [`Experiment`]
+/// share: the one place their rules are written.
+struct Scalars {
+    timestep: Seconds,
+    decoupling: Farads,
+    topology: Topology,
+    leakage: Option<Ohms>,
+    trace: Option<u64>,
+    telemetry: TelemetryKind,
+    /// `None` for [`Experiment::build`], which runs nothing.
+    deadline: Option<Seconds>,
+}
+
+impl Scalars {
+    /// Appends every violated rule to `out`, in spec field order.
+    fn push_violations(&self, out: &mut Vec<BuildError>) {
+        if !(self.timestep.0 > 0.0 && self.timestep.0.is_finite()) {
+            out.push(BuildError::InvalidTimestep(self.timestep.0));
+        }
+        if !(self.decoupling.0 > 0.0 && self.decoupling.0.is_finite()) {
+            out.push(BuildError::InvalidDecoupling(self.decoupling.0));
+        }
+        if let Topology::Buffered {
+            storage,
+            efficiency,
+        } = self.topology
+        {
+            if !(storage.0 >= 0.0 && storage.0.is_finite()) {
+                out.push(BuildError::InvalidStorage(storage.0));
+            }
+            if !valid_efficiency(efficiency) {
+                out.push(BuildError::InvalidEfficiency(efficiency));
+            }
+        }
+        if let Some(r) = self.leakage {
+            if !(r.0 > 0.0 && r.0.is_finite()) {
+                out.push(BuildError::InvalidLeakage(r.0));
+            }
+        }
+        if self.trace == Some(0) {
+            out.push(BuildError::InvalidTrace);
+        }
+        if let Err(e) = self.telemetry.validate() {
+            out.push(BuildError::InvalidTelemetry(e));
+        }
+        if let Some(d) = self.deadline {
+            if !(d.0 > 0.0 && d.0.is_finite()) {
+                out.push(BuildError::InvalidDeadline(d.0));
+            }
+        }
+    }
+}
+
+/// A rule list's verdict: its first entry, if any.
+pub(crate) fn first<E>(violations: Vec<E>) -> Result<(), E> {
+    violations.into_iter().next().map_or(Ok(()), Err)
 }
 
 /// Encodes a workload kind as the `workload` object of
@@ -889,40 +913,42 @@ impl<'a> Experiment<'a> {
     /// Returns [`BuildError`] when a required component is missing or a
     /// physical parameter is out of range.
     pub fn build(self) -> Result<System<'a>, BuildError> {
+        self.assemble(None)
+    }
+
+    /// Assembles, then runs to completion or `deadline`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildError`] if assembly fails or the deadline is invalid.
+    pub fn run(self, deadline: Seconds) -> Result<SystemReport, BuildError> {
+        Ok(self.assemble(Some(deadline))?.run(deadline))
+    }
+
+    /// Checks the components and the scalar rules — the deadline too,
+    /// when there is one — then wires the runner.
+    fn assemble(self, deadline: Option<Seconds>) -> Result<System<'a>, BuildError> {
         let source = self.source.ok_or(BuildError::MissingSource)?;
         let strategy = self.strategy.ok_or(BuildError::MissingStrategy)?;
         let workload = self.workload.ok_or(BuildError::MissingWorkload)?;
-        if !(self.timestep.0 > 0.0 && self.timestep.0.is_finite()) {
-            return Err(BuildError::InvalidTimestep(self.timestep.0));
+        let mut violations = Vec::new();
+        Scalars {
+            timestep: self.timestep,
+            decoupling: self.decoupling,
+            topology: self.topology,
+            leakage: self.leakage,
+            trace: self.trace_decimation,
+            telemetry: self.telemetry_kind,
+            deadline,
         }
-        if !(self.decoupling.0 > 0.0 && self.decoupling.0.is_finite()) {
-            return Err(BuildError::InvalidDecoupling(self.decoupling.0));
-        }
-        if let Some(r) = self.leakage {
-            if !(r.0 > 0.0 && r.0.is_finite()) {
-                return Err(BuildError::InvalidLeakage(r.0));
-            }
-        }
-        if self.trace_decimation == Some(0) {
-            return Err(BuildError::InvalidTrace);
-        }
-        self.telemetry_kind
-            .validate()
-            .map_err(BuildError::InvalidTelemetry)?;
+        .push_violations(&mut violations);
+        first(violations)?;
         let (capacitance, efficiency) = match self.topology {
             Topology::Direct => (self.decoupling, 1.0),
             Topology::Buffered {
                 storage,
                 efficiency,
-            } => {
-                if !(storage.0 >= 0.0 && storage.0.is_finite()) {
-                    return Err(BuildError::InvalidStorage(storage.0));
-                }
-                if !(efficiency > 0.0 && efficiency <= 1.0) {
-                    return Err(BuildError::InvalidEfficiency(efficiency));
-                }
-                (storage + self.decoupling, efficiency)
-            }
+            } => (storage + self.decoupling, efficiency),
         };
         let strategy_name = strategy.name().to_string();
         let mut builder = TransientRunner::builder()
@@ -949,18 +975,6 @@ impl<'a> Experiment<'a> {
             strategy_name,
             metrics: self.metrics,
         })
-    }
-
-    /// Assembles, then runs to completion or `deadline`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError`] if assembly fails or the deadline is invalid.
-    pub fn run(self, deadline: Seconds) -> Result<SystemReport, BuildError> {
-        if !(deadline.0 > 0.0 && deadline.0.is_finite()) {
-            return Err(BuildError::InvalidDeadline(deadline.0));
-        }
-        Ok(self.build()?.run(deadline))
     }
 }
 

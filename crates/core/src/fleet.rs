@@ -45,8 +45,8 @@ use std::fmt;
 use edc_harvest::{EnergySource, FieldView, TracePlayback};
 use edc_units::{Seconds, Watts};
 
-use crate::catalog::{TraceCatalog, TraceError};
-use crate::experiment::{BuildError, ExperimentSpec};
+use crate::catalog::{validate_samples, TraceCatalog, TraceError};
+use crate::experiment::{first, BuildError, ExperimentSpec};
 use crate::json::Json;
 use crate::scenarios::{FieldEnvelope, SourceKind};
 
@@ -147,25 +147,7 @@ impl FieldSpec {
         match self {
             FieldSpec::Envelope(e) => e.validate().map_err(FleetError::InvalidField),
             FieldSpec::PowerTrace { samples, .. } => {
-                if samples.len() < 2 {
-                    return Err(FleetError::InvalidField("trace needs at least two samples"));
-                }
-                // NaN times fail this comparison and are caught by the
-                // finiteness check below.
-                for pair in samples.windows(2) {
-                    if pair[0].0 >= pair[1].0 {
-                        return Err(FleetError::InvalidField(
-                            "trace times must be strictly increasing",
-                        ));
-                    }
-                }
-                if samples
-                    .iter()
-                    .any(|&(t, w)| !(t.is_finite() && w.is_finite()))
-                {
-                    return Err(FleetError::InvalidField("trace samples must be finite"));
-                }
-                Ok(())
+                validate_samples(samples).map_err(|e| FleetError::InvalidField(e.reason()))
             }
         }
     }
@@ -516,63 +498,21 @@ impl FleetSpec {
     }
 
     /// Checks every parameter — field, placement, stagger, duty period,
-    /// and the per-node design (with each node's derived field view).
+    /// and the per-node design (with each node's derived field view): the
+    /// first entry of [`FleetSpec::violations`].
     ///
     /// # Errors
     ///
-    /// Returns the first violated constraint.
+    /// Returns the first violated rule.
     pub fn validate(&self) -> Result<(), FleetError> {
-        if self.nodes == 0 {
-            return Err(FleetError::NoNodes);
-        }
-        if !(self.stagger.0.is_finite() && self.stagger.0 >= 0.0) {
-            return Err(FleetError::InvalidStagger(self.stagger.0));
-        }
-        if !(self.duty_period.0 > 0.0 && self.duty_period.0.is_finite()) {
-            return Err(FleetError::InvalidDutyPeriod(self.duty_period.0));
-        }
-        if let Placement::Explicit(a) = &self.placement {
-            if a.len() != self.nodes {
-                return Err(FleetError::PlacementCount {
-                    nodes: self.nodes,
-                    placements: a.len(),
-                });
-            }
-        }
-        self.field.validate()?;
-        for i in 0..self.nodes {
-            let a = self.attenuation(i);
-            if !(a.is_finite() && a > 0.0 && a <= 1.0) {
-                return Err(FleetError::InvalidAttenuation { node: i, value: a });
-            }
-        }
-        if !(self.design.deadline.0 > 0.0 && self.design.deadline.0.is_finite()) {
-            return Err(FleetError::Design(BuildError::InvalidDeadline(
-                self.design.deadline.0,
-            )));
-        }
-        match self.node_specs() {
-            // Envelope fields: the per-node specs carry the field views, so
-            // validating them covers placement-derived parameters too.
-            Some(specs) => {
-                for spec in &specs {
-                    spec.validate()?;
-                }
-            }
-            // Trace fields: sample data is checked by `field.validate()`
-            // above and per-node specs are re-validated (with the catalog)
-            // when the runner expands them, so validate the design shell
-            // here (everything but its replaced source).
-            None => self.design.validate()?,
-        }
-        Ok(())
+        first(self.violations())
     }
 
-    /// Every violated constraint in the fleet spec — the collect-all
-    /// companion to [`FleetSpec::validate`], mirroring
-    /// [`ExperimentSpec::violations`]. Design-level violations are reported
-    /// once (from node 0's derived spec); for the remaining nodes only
-    /// their placement-specific source violations are added.
+    /// Every violated rule in the fleet spec — the collect-all form of
+    /// [`FleetSpec::validate`], mirroring [`ExperimentSpec::violations`].
+    /// Design-level violations, the deadline among them, are reported once
+    /// (from node 0's derived spec); for the remaining nodes only their
+    /// placement-specific source violations are added.
     pub fn violations(&self) -> Vec<FleetError> {
         let mut out = Vec::new();
         if self.nodes == 0 {
@@ -584,46 +524,46 @@ impl FleetSpec {
         if !(self.duty_period.0 > 0.0 && self.duty_period.0.is_finite()) {
             out.push(FleetError::InvalidDutyPeriod(self.duty_period.0));
         }
-        if let Placement::Explicit(a) = &self.placement {
-            if a.len() != self.nodes {
+        // Per-node attenuations exist only when an explicit list has one
+        // entry per node.
+        let placed = match &self.placement {
+            Placement::Explicit(a) if a.len() != self.nodes => {
                 out.push(FleetError::PlacementCount {
                     nodes: self.nodes,
                     placements: a.len(),
                 });
+                false
             }
-        }
+            _ => true,
+        };
         if let Err(e) = self.field.validate() {
             out.push(e);
         }
-        for i in 0..self.nodes {
-            let a = self.attenuation(i);
-            if !(a.is_finite() && a > 0.0 && a <= 1.0) {
-                out.push(FleetError::InvalidAttenuation { node: i, value: a });
+        if placed {
+            for i in 0..self.nodes {
+                let a = self.attenuation(i);
+                if !(a.is_finite() && a > 0.0 && a <= 1.0) {
+                    out.push(FleetError::InvalidAttenuation { node: i, value: a });
+                }
             }
         }
-        if !(self.design.deadline.0 > 0.0 && self.design.deadline.0.is_finite()) {
-            out.push(FleetError::Design(BuildError::InvalidDeadline(
-                self.design.deadline.0,
-            )));
-        }
-        // The deadline is already reported at fleet level above, so the
-        // per-spec lists drop their copy of it.
-        let not_deadline = |e: &BuildError| !matches!(e, BuildError::InvalidDeadline(_));
-        match self.node_specs() {
+        match placed.then(|| self.node_specs()).flatten() {
+            // Envelope fields: the per-node specs carry the field views, so
+            // their rules cover placement-derived parameters too.
             Some(specs) => {
                 for (i, spec) in specs.iter().enumerate() {
-                    for e in spec.violations().into_iter().filter(not_deadline) {
+                    for e in spec.violations() {
                         if i == 0 || matches!(e, BuildError::InvalidSource(_)) {
                             out.push(FleetError::Design(e));
                         }
                     }
                 }
             }
-            None => {
-                for e in self.design.violations().into_iter().filter(not_deadline) {
-                    out.push(FleetError::Design(e));
-                }
-            }
+            // Trace fields (and unplaced nodes): the field's samples are
+            // checked above and per-node specs are re-validated (with the
+            // catalog) when the runner expands them, so check the design
+            // shell here.
+            None => out.extend(self.design.violations().into_iter().map(FleetError::Design)),
         }
         out
     }

@@ -155,22 +155,20 @@ pub const BATCH_SIZE_BOUNDS: [f64; 9] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 1
 ///
 /// # Errors
 ///
-/// Returns the first (by input order) [`BuildError`]. Validation is pure
-/// and cheap, so the whole list (catalog resolution included) is checked
-/// before any simulation starts or any metric is recorded — a doomed
-/// sweep fails immediately instead of after minutes of wasted runs.
+/// Returns the first (by input order) [`BuildError`] that
+/// [`ExperimentSpec::validate_in`] reports — the deadline is a rule like
+/// any other. Validation is pure and cheap, so the whole list (catalog
+/// resolution included) is checked before any simulation starts or any
+/// metric is recorded — a doomed sweep fails immediately instead of after
+/// minutes of wasted runs.
 pub fn run_specs_timed_metered(
     specs: Vec<ExperimentSpec>,
     threads: usize,
     catalog: &TraceCatalog,
     metrics: &edc_metrics::Registry,
 ) -> Result<SweepRun, BuildError> {
-    // `violations_in` also checks the deadline, which `validate_in` leaves
-    // to `run`: a bad one must fail here, not after the cells before it.
     for spec in &specs {
-        if let Some(e) = spec.violations_in(catalog).into_iter().next() {
-            return Err(e);
-        }
+        spec.validate_in(catalog)?;
     }
     metrics
         .counter("edc_sweep_batches", "Spec batches fanned out.", &[])

@@ -40,6 +40,11 @@ pub enum Topology {
     },
 }
 
+/// The converter-efficiency rule: `(0, 1]`.
+pub(crate) fn valid_efficiency(efficiency: f64) -> bool {
+    efficiency > 0.0 && efficiency <= 1.0
+}
+
 /// Adapts an [`EnergySource`] (plus an optional rectifier and conversion
 /// efficiency) into the `(V, t) → I` closure the transient runner consumes.
 pub fn adapt_source<'a>(
@@ -47,10 +52,7 @@ pub fn adapt_source<'a>(
     rectifier: Option<Rectifier>,
     efficiency: f64,
 ) -> impl FnMut(Volts, Seconds) -> Amps + 'a {
-    assert!(
-        efficiency > 0.0 && efficiency <= 1.0,
-        "efficiency in (0, 1]"
-    );
+    assert!(valid_efficiency(efficiency), "efficiency in (0, 1]");
     move |v, t| {
         let mut sample = source.sample(t);
         if let (Some(rect), SourceSample::Thevenin { v_oc, r_s }) = (rectifier, sample) {

@@ -405,9 +405,6 @@ impl ServeSession {
         let spec = ExperimentSpec::from_json(spec_json, &self.catalog)?;
         spec.validate_in(&self.catalog)
             .map_err(|e| format!("{e}"))?;
-        if !(spec.deadline.0 > 0.0 && spec.deadline.0.is_finite()) {
-            return Err(format!("invalid deadline: {}", spec.deadline.0));
-        }
         let key = spec.to_json().to_string();
         Ok(Pending {
             id: None,

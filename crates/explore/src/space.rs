@@ -154,12 +154,11 @@ impl SpecSpace {
         )
     }
 
-    /// Checks that every axis is non-empty and every axis value passes the
-    /// spec registry's own validation, so a search never trips a
-    /// `BuildError` mid-run. Axis values are independent spec fields, so
-    /// checking each value once (against the base) covers the whole
-    /// cartesian product. The base deadline is checked here too, because
-    /// `ExperimentSpec::validate` leaves it to `run`.
+    /// Checks that every axis is non-empty and every axis value passes
+    /// [`ExperimentSpec::validate`] — the base deadline included, a rule
+    /// like any other — so a search never trips a `BuildError` mid-run.
+    /// Axis values are independent spec fields, so checking each value
+    /// once (against the base) covers the whole cartesian product.
     ///
     /// # Errors
     ///
@@ -186,11 +185,6 @@ impl SpecSpace {
             if n == 0 {
                 return Err(ExploreError::EmptyAxis(AXIS_NAMES[axis]));
             }
-        }
-        if !(self.base.deadline.0 > 0.0 && self.base.deadline.0.is_finite()) {
-            return Err(ExploreError::Build(
-                edc_core::experiment::BuildError::InvalidDeadline(self.base.deadline.0),
-            ));
         }
         for i in 0..dims.iter().max().copied().unwrap_or(0) {
             let mut probe = [0usize; AXES];
@@ -511,8 +505,6 @@ mod tests {
         ));
         let bad = SpecSpace::over(base()).decoupling(&[Farads(-1.0)]);
         assert!(bad.validate().is_err());
-        // The deadline is only checked by ExperimentSpec::run, so the
-        // space must gate it up front or every searcher batch would fail.
         let dead = SpecSpace::over(base().deadline(Seconds(0.0)));
         assert!(matches!(
             dead.validate(),

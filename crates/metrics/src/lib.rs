@@ -3,12 +3,12 @@
 //! The registry here is the aggregate-observability counterpart to the
 //! per-run timelines and profile spans in `edc-obs`: typed
 //! [`Counter`]/[`Gauge`]/[`Histogram`] handles with label sets, cheap
-//! atomic increments, and mergeable per-thread histogram shards, rendered
-//! as OpenMetrics/Prometheus text by [`Registry::render_text`].
+//! atomic increments, and order-invariant histogram sums, rendered as
+//! OpenMetrics/Prometheus text by [`Registry::render_text`].
 //!
 //! The determinism contract mirrors the rest of the workspace: exposition
 //! is a **pure function of the recorded multiset** — families sort by
-//! name, children by label set, histogram shards merge in exact integer
+//! name, children by label set, histogram sums accumulate in exact integer
 //! arithmetic (fixed-point sums, like `edc-telemetry`'s `FixedSum`) — so
 //! serial and parallel runs of the same work render byte-identically.
 //! Wall-clock readings are quarantined exactly like `SweepRun.timing`:
@@ -32,24 +32,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Fixed-point scale for histogram sums: 2⁶⁰ keeps ~18 decimal digits
 /// below the unit while an `i128` total still spans ±10²⁰ units. Matches
 /// `edc-telemetry`'s `FixedSum`, for the same reason: integer addition is
-/// exactly associative and commutative, so any shard merge order yields
+/// exactly associative and commutative, so any observation order yields
 /// the identical total.
 const FIXED_SCALE: f64 = (1u128 << 60) as f64;
-
-/// Number of histogram shards. Observations hash their thread onto a
-/// shard, so concurrent workers rarely contend on one mutex; exposition
-/// merges all shards in index order with integer arithmetic, which makes
-/// the rendered text independent of how work was threaded.
-const SHARDS: usize = 16;
 
 /// A monotonically increasing counter handle.
 ///
@@ -173,12 +165,11 @@ impl Gauge {
     }
 }
 
-/// One histogram shard: per-bucket counts plus an exact fixed-point sum.
-#[derive(Debug, Default)]
-struct Shard {
+/// A histogram's state: per-bucket counts plus an exact fixed-point sum.
+#[derive(Debug, Clone)]
+struct Tally {
     /// Per-bucket (non-cumulative) counts; `bounds.len() + 1` entries,
-    /// the last being the implicit `+Inf` bucket. Lazily sized on first
-    /// observation so an untouched shard costs nothing.
+    /// the last being the implicit `+Inf` bucket.
     counts: Vec<u64>,
     count: u64,
     sum: i128,
@@ -188,26 +179,16 @@ struct Shard {
 #[derive(Debug)]
 struct HistogramCell {
     bounds: Vec<f64>,
-    shards: Vec<Mutex<Shard>>,
+    tally: Mutex<Tally>,
 }
 
-/// An order-invariant merged view of every shard of one histogram.
-#[derive(Debug, Clone, PartialEq)]
-struct HistogramSnapshot {
-    /// Non-cumulative per-bucket counts (`bounds.len() + 1` entries).
-    counts: Vec<u64>,
-    count: u64,
-    sum: i128,
-}
-
-/// A sharded histogram handle with explicit bucket upper bounds.
+/// A histogram handle with explicit bucket upper bounds.
 ///
 /// Observations land in the bucket of the first upper bound `le` with
-/// `x ≤ le` (an implicit `+Inf` bucket catches the rest), on a per-thread
-/// shard chosen by hashing the current thread. Counts and the fixed-point
-/// sum merge with exact integer arithmetic at exposition time, so the
-/// rendered text is byte-identical however the observations were
-/// interleaved across threads.
+/// `x ≤ le` (an implicit `+Inf` bucket catches the rest). Every call site
+/// observes from a coordinating thread, outside parallel workers, so one
+/// mutex serves them; the fixed-point sum makes the rendered text
+/// byte-identical however observations from several threads interleave.
 ///
 /// # Examples
 ///
@@ -243,19 +224,13 @@ impl Histogram {
             return;
         }
         let idx = self.cell.bounds.partition_point(|&b| b < x);
-        let mut hasher = DefaultHasher::new();
-        std::thread::current().id().hash(&mut hasher);
-        let shard = &self.cell.shards[(hasher.finish() as usize) % SHARDS];
-        let mut shard = shard.lock().expect("histogram shard poisoned");
-        if shard.counts.is_empty() {
-            shard.counts = vec![0; self.cell.bounds.len() + 1];
-        }
-        shard.counts[idx] += 1;
-        shard.count += 1;
-        shard.sum += (x * FIXED_SCALE) as i128;
+        let mut tally = self.cell.tally.lock().expect("histogram poisoned");
+        tally.counts[idx] += 1;
+        tally.count += 1;
+        tally.sum += (x * FIXED_SCALE) as i128;
     }
 
-    /// Total number of recorded observations across all shards.
+    /// Total number of recorded observations.
     ///
     /// # Examples
     ///
@@ -283,20 +258,9 @@ impl Histogram {
         self.snapshot().sum as f64 / FIXED_SCALE
     }
 
-    /// Merges every shard (index order, integer adds) into one snapshot.
-    fn snapshot(&self) -> HistogramSnapshot {
-        let mut counts = vec![0u64; self.cell.bounds.len() + 1];
-        let mut count = 0u64;
-        let mut sum = 0i128;
-        for shard in &self.cell.shards {
-            let shard = shard.lock().expect("histogram shard poisoned");
-            for (a, b) in counts.iter_mut().zip(&shard.counts) {
-                *a += b;
-            }
-            count += shard.count;
-            sum += shard.sum;
-        }
-        HistogramSnapshot { counts, count, sum }
+    /// A copy of the current state.
+    fn snapshot(&self) -> Tally {
+        self.cell.tally.lock().expect("histogram poisoned").clone()
     }
 }
 
@@ -527,7 +491,11 @@ impl Registry {
             Kind::Histogram => Child::Histogram(Histogram {
                 cell: Arc::new(HistogramCell {
                     bounds: bounds.to_vec(),
-                    shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
+                    tally: Mutex::new(Tally {
+                        counts: vec![0; bounds.len() + 1],
+                        count: 0,
+                        sum: 0,
+                    }),
                 }),
             }),
         });
