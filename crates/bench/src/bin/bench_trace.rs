@@ -38,8 +38,9 @@ use edc_explore::{
 use edc_units::{Joules, Seconds, Volts};
 use edc_workloads::WorkloadKind;
 
-/// The benchmark space over [`edc_bench::recordings`]: (2 recordings × 2 decimation levels) × all 7
-/// strategies × 2 sizing-seeded capacitances = 56 designs.
+/// The benchmark space over [`edc_bench::recordings`]: (2 recordings × 2
+/// decimation levels) × all 7 strategies × 2 sizing-seeded capacitances =
+/// 56 designs.
 fn space(catalog: &TraceCatalog) -> SpecSpace {
     let sources: Vec<SourceKind> = catalog
         .ids()
