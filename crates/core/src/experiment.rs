@@ -299,9 +299,8 @@ impl ExperimentSpec {
             leakage: self.leakage,
             trace: self.trace,
             telemetry: self.telemetry,
-            deadline: Some(self.deadline),
         }
-        .push_violations(&mut out);
+        .push_violations(Some(self.deadline), &mut out);
         out
     }
 
@@ -542,17 +541,16 @@ struct Scalars {
     leakage: Option<Ohms>,
     trace: Option<u64>,
     telemetry: TelemetryKind,
-    /// `None` for [`Experiment::build`], which runs nothing.
-    deadline: Option<Seconds>,
 }
 
 impl Scalars {
-    /// Appends every violated rule to `out`, in spec field order.
-    /// Inlined so that sharing the rules costs validation no call and no
-    /// copy of the fields: out of line, validating a 462-spec grid took
-    /// about 17% longer.
+    /// Appends every violated rule to `out`, in spec field order, the
+    /// deadline last (`None` for [`Experiment::build`], which runs
+    /// nothing). Inlined so that sharing the rules costs validation no
+    /// call and no copy of the fields: out of line, validating a 462-spec
+    /// grid took about 17% longer.
     #[inline(always)]
-    fn push_violations(&self, out: &mut Vec<BuildError>) {
+    fn push_violations(&self, deadline: Option<Seconds>, out: &mut Vec<BuildError>) {
         if !(self.timestep.0 > 0.0 && self.timestep.0.is_finite()) {
             out.push(BuildError::InvalidTimestep(self.timestep.0));
         }
@@ -582,7 +580,7 @@ impl Scalars {
         if let Err(e) = self.telemetry.validate() {
             out.push(BuildError::InvalidTelemetry(e));
         }
-        if let Some(d) = self.deadline {
+        if let Some(d) = deadline {
             if !(d.0 > 0.0 && d.0.is_finite()) {
                 out.push(BuildError::InvalidDeadline(d.0));
             }
@@ -701,14 +699,9 @@ pub fn workload_from_json(json: &crate::json::Json) -> Result<WorkloadKind, &'st
 pub struct Experiment<'a> {
     source: Option<Box<dyn EnergySource + 'a>>,
     rectifier: Option<Rectifier>,
-    topology: Topology,
-    decoupling: Farads,
     strategy: Option<Box<dyn Strategy + 'a>>,
     workload: Option<Box<dyn Workload + 'a>>,
-    timestep: Seconds,
-    leakage: Option<Ohms>,
-    trace_decimation: Option<u64>,
-    telemetry_kind: TelemetryKind,
+    scalars: Scalars,
     custom_sink: Option<Box<dyn Sink + 'a>>,
     metrics: Option<edc_metrics::Registry>,
 }
@@ -720,14 +713,16 @@ impl<'a> Experiment<'a> {
         Self {
             source: None,
             rectifier: None,
-            topology: Topology::Direct,
-            decoupling: Farads::from_micro(10.0),
             strategy: None,
             workload: None,
-            timestep: Seconds(20e-6),
-            leakage: None,
-            trace_decimation: None,
-            telemetry_kind: TelemetryKind::Null,
+            scalars: Scalars {
+                timestep: Seconds(20e-6),
+                decoupling: Farads::from_micro(10.0),
+                topology: Topology::Direct,
+                leakage: None,
+                trace: None,
+                telemetry: TelemetryKind::Null,
+            },
             custom_sink: None,
             metrics: None,
         }
@@ -837,13 +832,13 @@ impl<'a> Experiment<'a> {
 
     /// Selects the energy-subsystem topology.
     pub fn topology(mut self, t: Topology) -> Self {
-        self.topology = t;
+        self.scalars.topology = t;
         self
     }
 
     /// Overrides the decoupling capacitance.
     pub fn decoupling(mut self, c: Farads) -> Self {
-        self.decoupling = c;
+        self.scalars.decoupling = c;
         self
     }
 
@@ -871,25 +866,25 @@ impl<'a> Experiment<'a> {
 
     /// Overrides the simulation timestep.
     pub fn timestep(mut self, dt: Seconds) -> Self {
-        self.timestep = dt;
+        self.scalars.timestep = dt;
         self
     }
 
     /// Adds a board-leakage path across the supply rail.
     pub fn leakage(mut self, r: Ohms) -> Self {
-        self.leakage = Some(r);
+        self.scalars.leakage = Some(r);
         self
     }
 
     /// Enables `V_cc`/frequency tracing with the given decimation.
     pub fn trace(mut self, decimation: u64) -> Self {
-        self.trace_decimation = Some(decimation);
+        self.scalars.trace = Some(decimation);
         self
     }
 
     /// Selects the telemetry sink via the kind registry.
     pub fn telemetry_kind(mut self, kind: TelemetryKind) -> Self {
-        self.telemetry_kind = kind;
+        self.scalars.telemetry = kind;
         self
     }
 
@@ -935,41 +930,33 @@ impl<'a> Experiment<'a> {
         let source = self.source.ok_or(BuildError::MissingSource)?;
         let strategy = self.strategy.ok_or(BuildError::MissingStrategy)?;
         let workload = self.workload.ok_or(BuildError::MissingWorkload)?;
+        let scalars = &self.scalars;
         let mut violations = Vec::new();
-        Scalars {
-            timestep: self.timestep,
-            decoupling: self.decoupling,
-            topology: self.topology,
-            leakage: self.leakage,
-            trace: self.trace_decimation,
-            telemetry: self.telemetry_kind,
-            deadline,
-        }
-        .push_violations(&mut violations);
+        scalars.push_violations(deadline, &mut violations);
         first(violations)?;
-        let (capacitance, efficiency) = match self.topology {
-            Topology::Direct => (self.decoupling, 1.0),
+        let (capacitance, efficiency) = match scalars.topology {
+            Topology::Direct => (scalars.decoupling, 1.0),
             Topology::Buffered {
                 storage,
                 efficiency,
-            } => (storage + self.decoupling, efficiency),
+            } => (storage + scalars.decoupling, efficiency),
         };
         let strategy_name = strategy.name().to_string();
         let mut builder = TransientRunner::builder()
             .capacitance(capacitance)
-            .timestep(self.timestep)
+            .timestep(scalars.timestep)
             .strategy(strategy)
             .program(workload.program())
             .source(adapt_source(source, self.rectifier, efficiency));
-        if let Some(d) = self.trace_decimation {
+        if let Some(d) = scalars.trace {
             builder = builder.trace(d);
         }
-        if let Some(r) = self.leakage {
+        if let Some(r) = scalars.leakage {
             builder = builder.leakage(r);
         }
         let sink = self
             .custom_sink
-            .or_else(|| self.telemetry_kind.make().map(|s| s as Box<dyn Sink + 'a>));
+            .or_else(|| scalars.telemetry.make().map(|s| s as Box<dyn Sink + 'a>));
         if let Some(sink) = sink {
             builder = builder.telemetry(sink);
         }
