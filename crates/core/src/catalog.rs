@@ -73,8 +73,8 @@ pub enum TraceError {
 }
 
 impl TraceError {
-    /// The fixed text of a sample fault ([`validate_samples`]'s errors);
-    /// the other variants carry data, so they name their kind only.
+    /// The fixed text of a fault without data ([`validate_samples`]'s
+    /// errors among them); the variants that carry data name their kind.
     pub(crate) fn reason(&self) -> &'static str {
         match self {
             TraceError::TooShort => "a trace needs at least two samples",
